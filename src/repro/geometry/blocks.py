@@ -31,6 +31,8 @@ __all__ = [
     "Bits",
     "block_rect",
     "bits_of_point",
+    "quantize",
+    "interleave",
     "is_prefix",
     "common_prefix",
     "min_enclosing_block",
@@ -44,9 +46,6 @@ MAX_DEPTH = 48
 
 #: A block address: tuple of 0/1 halving decisions.
 Bits = tuple[int, ...]
-
-# Precomputed negative powers of two, exact as floats.
-_POW2 = [2.0 ** -k for k in range(MAX_DEPTH + 2)]
 
 
 def split_axis(bits: Bits, dims: int) -> int:
@@ -79,6 +78,81 @@ def block_rect(bits: Bits, dims: int) -> Rect:
     return Rect._make(tuple(lo), hi)
 
 
+#: dims -> 256-entry table spreading a byte's bits ``dims`` apart:
+#: bit ``i`` of the byte lands at bit ``i * dims`` of the entry.
+_SPREAD_TABLES: dict[int, list[int]] = {}
+
+
+def _spread_table(dims: int) -> list[int]:
+    table = _SPREAD_TABLES.get(dims)
+    if table is None:
+        table = _SPREAD_TABLES[dims] = [
+            sum(((byte >> i) & 1) << (i * dims) for i in range(8))
+            for byte in range(256)
+        ]
+    return table
+
+
+# Warm the tables for every dimensionality the testbed reaches: 2-d for
+# the native structures, 4-d for the transformation technique (2-d rects
+# mapped to 4-d points), 3-d for completeness.  First-use latency then
+# never includes table construction.
+for _dims in (2, 3, 4):
+    _spread_table(_dims)
+del _dims
+
+
+def quantize(point: Sequence[float], bits_per_axis: int) -> list[int]:
+    """Each coordinate as a cell index on a ``2**bits_per_axis`` grid.
+
+    Cells are half-open; ``1.0`` (and anything above it) is clamped into
+    the last cell.  Negative and NaN coordinates are rejected.
+    """
+    scale = 1 << bits_per_axis
+    quantized = []
+    for c in point:
+        if not c >= 0.0:  # negative or NaN
+            raise ValueError(f"coordinate {c} outside the unit cube")
+        q = math.floor(c * scale)
+        if q >= scale:  # c == 1.0 or float round-up: clamp into the cube
+            q = scale - 1
+        quantized.append(q)
+    return quantized
+
+
+def interleave(quantized: Sequence[int], dims: int) -> int:
+    """Morton code of the first ``dims`` quantized coordinates.
+
+    Bit ``j`` of axis ``a`` lands at position ``j * dims + (dims - 1 - a)``:
+    read MSB first, the code is the cyclic halving sequence of
+    :func:`bits_of_point`, axis 0 first.  Each axis is spread through a
+    256-entry table, one lookup per 8 coordinate bits.
+    """
+    table = _spread_table(dims)
+    z = 0
+    for axis in range(dims):
+        q = quantized[axis]
+        spread = table[q & 0xFF]
+        chunk = 0
+        q >>= 8
+        while q:
+            chunk += 1
+            spread |= table[q & 0xFF] << (8 * chunk * dims)
+            q >>= 8
+        z |= spread << (dims - 1 - axis)
+    return z
+
+
+#: Maps the ASCII digits of ``bin()`` to the bit values 0 and 1.
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _address(code: int, depth: int) -> Bits:
+    """The ``depth``-bit block address spelled by ``code``, MSB first."""
+    # The leading 1 pins the width, so ``depth == 0`` yields ().
+    return tuple(bin(code | 1 << depth)[3:].encode().translate(_DIGITS_TO_BITS))
+
+
 def bits_of_point(point: Sequence[float], dims: int, depth: int) -> Bits:
     """Address of the depth-``depth`` block containing ``point``.
 
@@ -89,22 +163,9 @@ def bits_of_point(point: Sequence[float], dims: int, depth: int) -> Bits:
         raise ValueError(f"depth {depth} exceeds MAX_DEPTH={MAX_DEPTH}")
     # Quantize each axis once; bit k (from the most significant) of the
     # quantized value is the k-th halving decision for that axis.
-    per_axis = (depth + dims - 1) // dims
-    scale = 1 << per_axis
-    quantized = []
-    for c in point:
-        q = math.floor(c * scale)
-        if q >= scale:  # c == 1.0 or float round-up: clamp into the cube
-            q = scale - 1
-        if q < 0:
-            raise ValueError(f"coordinate {c} outside the unit cube")
-        quantized.append(q)
-    bits = []
-    for j in range(depth):
-        axis = j % dims
-        k = j // dims  # halving index within that axis, MSB first
-        bits.append((quantized[axis] >> (per_axis - 1 - k)) & 1)
-    return tuple(bits)
+    per_axis = -(-depth // dims)
+    code = interleave(quantize(point, per_axis), dims)
+    return _address(code >> (per_axis * dims - depth), depth)
 
 
 def is_prefix(a: Bits, b: Bits) -> bool:
@@ -126,12 +187,24 @@ def min_enclosing_block(rect: Rect, dims: int, max_depth: int = MAX_DEPTH) -> Bi
     """Smallest block (longest address) whose rectangle contains ``rect``.
 
     This is the *buddy rectangle* operation of the BUDDY hash tree: the
-    block is found as the longest common prefix of the addresses of the
-    rectangle's lower and upper corners.  The upper corner is nudged
-    inside the half-open cube so that a rectangle touching ``1.0`` still
-    resolves.
+    block is the longest common prefix of the addresses of the
+    rectangle's lower and upper corners.  A rectangle touching ``1.0``
+    still resolves, because :func:`quantize` clamps ``1.0`` into the last
+    cell.  The prefix length comes straight from the quantized corners:
+    on each axis the first differing halving is the highest set bit of
+    ``lo ^ hi``, and only the common prefix is spelled out.
     """
-    lo_bits = bits_of_point(rect.lo, dims, max_depth)
-    hi_point = tuple(min(c, 1.0 - _POW2[MAX_DEPTH + 1]) for c in rect.hi)
-    hi_bits = bits_of_point(hi_point, dims, max_depth)
-    return common_prefix(lo_bits, hi_bits)
+    if max_depth > MAX_DEPTH:
+        raise ValueError(f"depth {max_depth} exceeds MAX_DEPTH={MAX_DEPTH}")
+    per_axis = -(-max_depth // dims)
+    lo = quantize(rect.lo, per_axis)
+    hi = quantize(rect.hi, per_axis)
+    depth = max_depth
+    for axis in range(dims):
+        diff = lo[axis] ^ hi[axis]
+        if diff:
+            # Halving k of this axis is decision k * dims + axis overall.
+            first = (per_axis - diff.bit_length()) * dims + axis
+            if first < depth:
+                depth = first
+    return _address(interleave(lo, dims) >> (per_axis * dims - depth), depth)

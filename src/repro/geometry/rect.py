@@ -39,7 +39,8 @@ class Rect:
         hi = tuple(hi)
         if len(lo) != len(hi):
             raise ValueError(f"dimension mismatch: {len(lo)} != {len(hi)}")
-        if any(l > h for l, h in zip(lo, hi)):
+        # ``not l <= h`` also rejects NaN, which ``l > h`` lets through.
+        if any(not l <= h for l, h in zip(lo, hi)):
             raise ValueError(f"inverted interval in Rect({lo}, {hi})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -131,6 +132,18 @@ class Rect:
             v *= h - l
         return v
 
+    def union_area(self, other: "Rect") -> float:
+        """``self.union(other).area()`` without building the union.
+
+        The same IEEE operations in the same order: each bound is the
+        ``min``/``max`` of :meth:`union` (first argument kept on ties),
+        and the volume is the per-axis product of :meth:`area`.
+        """
+        v = 1.0
+        for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
+            v *= (oh if oh > h else h) - (ol if ol < l else l)
+        return v
+
     def margin(self) -> float:
         """Sum of side lengths — the *margin* minimised by split policies."""
         return sum(h - l for l, h in zip(self.lo, self.hi))
@@ -187,7 +200,7 @@ class Rect:
 
     def enlargement(self, other: "Rect") -> float:
         """Extra volume needed to also cover ``other`` (R-tree heuristic)."""
-        return self.union(other).area() - self.area()
+        return self.union_area(other) - self.area()
 
     def split_at(self, axis: int, coordinate: float) -> tuple["Rect", "Rect"]:
         """Cut the box with the hyperplane ``x[axis] == coordinate``."""

@@ -17,7 +17,13 @@ import math
 
 from typing import Sequence
 
-from repro.geometry.blocks import Bits, block_rect
+from repro.geometry.blocks import (
+    Bits,
+    block_rect,
+    interleave,
+    min_enclosing_block,
+    quantize,
+)
 from repro.geometry.rect import Rect
 
 __all__ = [
@@ -27,30 +33,6 @@ __all__ = [
 ]
 
 
-#: dims -> 256-entry table spreading a byte's bits ``dims`` apart:
-#: bit ``i`` of the byte lands at bit ``i * dims`` of the entry.
-_SPREAD_TABLES: dict[int, list[int]] = {}
-
-
-def _spread_table(dims: int) -> list[int]:
-    table = _SPREAD_TABLES.get(dims)
-    if table is None:
-        table = _SPREAD_TABLES[dims] = [
-            sum(((byte >> i) & 1) << (i * dims) for i in range(8))
-            for byte in range(256)
-        ]
-    return table
-
-
-# Warm the tables for every dimensionality the testbed reaches: 2-d for
-# the native structures, 4-d for the transformation technique (2-d rects
-# mapped to 4-d points), 3-d for completeness.  First-query latency then
-# never includes table construction.
-for _dims in (2, 3, 4):
-    _spread_table(_dims)
-del _dims
-
-
 def z_value(point: Sequence[float], dims: int, bits_per_axis: int = 16) -> int:
     """Morton code of ``point`` with ``bits_per_axis`` bits per axis.
 
@@ -58,35 +40,10 @@ def z_value(point: Sequence[float], dims: int, bits_per_axis: int = 16) -> int:
     the last cell.  Interleaving is cyclic starting with axis 0, matching
     the halving order of :mod:`repro.geometry.blocks`.
 
-    Instead of assembling the code bit by bit (``dims * bits_per_axis``
-    shift-or steps), each quantized coordinate is spread through a
-    precomputed 256-entry table — one lookup per 8 coordinate bits —
-    and the spread axes are or-ed together: bit ``j`` of axis ``a``
-    lands at position ``j * dims + (dims - 1 - a)``, exactly the cyclic
-    MSB-first interleaving of the reference loop.
+    The code comes from the same table-driven interleaver as the block
+    addresses (:func:`repro.geometry.blocks.interleave`).
     """
-    scale = 1 << bits_per_axis
-    quantized = []
-    for c in point:
-        q = math.floor(c * scale)
-        if q >= scale:
-            q = scale - 1
-        if q < 0:
-            raise ValueError(f"coordinate {c} outside the unit cube")
-        quantized.append(q)
-    table = _spread_table(dims)
-    z = 0
-    for axis in range(dims):
-        q = quantized[axis]
-        spread = table[q & 0xFF]
-        chunk = 0
-        q >>= 8
-        while q:
-            chunk += 1
-            spread |= table[q & 0xFF] << (8 * chunk * dims)
-            q >>= 8
-        z |= spread << (dims - 1 - axis)
-    return z
+    return interleave(quantize(point, bits_per_axis), dims)
 
 
 def z_interval(bits: Bits, dims: int, bits_per_axis: int = 16) -> tuple[int, int]:
@@ -119,15 +76,24 @@ def decompose_rect(
     if max_regions < 1:
         raise ValueError("max_regions must be at least 1")
 
+    rlo, rhi = rect.lo, rect.hi
+
     def overshoot(bits: Bits) -> float:
+        # A block's volume is a product of powers of two, exactly
+        # 2**-depth; the covered part is the volume of its intersection
+        # with the object (empty on any axis: nothing covered).
         block = block_rect(bits, dims)
-        inter = block.intersection(rect)
-        covered = inter.area() if inter is not None else 0.0
-        return block.area() - covered
+        covered = 1.0
+        for l, h, ol, oh in zip(block.lo, block.hi, rlo, rhi):
+            lo = ol if ol > l else l
+            hi = oh if oh < h else h
+            if lo > hi:
+                covered = 0.0
+                break
+            covered *= hi - lo
+        return math.ldexp(1.0, -len(bits)) - covered
 
     # Start from the minimal enclosing block of the object.
-    from repro.geometry.blocks import min_enclosing_block
-
     cover = [min_enclosing_block(rect, dims, max_depth)]
     while len(cover) < max_regions:
         # Split the block with the largest overshoot whose children still

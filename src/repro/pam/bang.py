@@ -217,7 +217,7 @@ class BangFile(PointAccessMethod):
         """
         best: Bits | None = None
         for block in self._data_blocks:
-            if blocks.is_prefix(block, bits):
+            if bits[: len(block)] == block:
                 if best is None or len(block) > len(best):
                     best = block
         if best is None:
@@ -245,7 +245,8 @@ class BangFile(PointAccessMethod):
         while stack:
             node: _DirNode = self.store.read(stack.pop())
             for entry in node.entries:
-                if not blocks.is_prefix(entry.bits, bits):
+                eb = entry.bits
+                if eb != bits[: len(eb)]:
                     continue
                 if prune and (entry.mbr is None or not entry.mbr.contains_point(point)):
                     continue
@@ -276,11 +277,13 @@ class BangFile(PointAccessMethod):
             pid = stack.pop()
             node: _DirNode = self.store._objects[pid]
             if node.is_leaf:
-                if blocks.is_prefix(node.bits, bits) and len(node.bits) > best_len:
-                    best_leaf, best_len = pid, len(node.bits)
+                nb = node.bits
+                if nb == bits[: len(nb)] and len(nb) > best_len:
+                    best_leaf, best_len = pid, len(nb)
                 continue
             for entry in node.entries:
-                if blocks.is_prefix(entry.bits, bits):
+                eb = entry.bits
+                if eb == bits[: len(eb)]:
                     stack.append(entry.pid)
         return best_leaf
 
@@ -314,11 +317,13 @@ class BangFile(PointAccessMethod):
             pid = stack.pop()
             node: _DirNode = self.store.read(pid)
             if node.is_leaf:
-                if blocks.is_prefix(node.bits, bits) and len(node.bits) > best_len:
-                    best_leaf, best_len = pid, len(node.bits)
+                nb = node.bits
+                if nb == bits[: len(nb)] and len(nb) > best_len:
+                    best_leaf, best_len = pid, len(nb)
                 continue
             for entry in node.entries:
-                if blocks.is_prefix(entry.bits, bits):
+                eb = entry.bits
+                if eb == bits[: len(eb)]:
                     stack.append(entry.pid)
         return best_leaf
 
@@ -343,10 +348,12 @@ class BangFile(PointAccessMethod):
         if sub_block is None:
             self.store.write(pid)  # duplicate-degenerate page: tolerate overflow
             return
-        inner = [r for r in page.records if self._record_in_block(r[0], sub_block)]
-        page.records = [
-            r for r in page.records if not self._record_in_block(r[0], sub_block)
+        depth = len(sub_block)
+        inside = [
+            self._point_bits(p)[:depth] == sub_block for p, _ in page.records
         ]
+        inner = [r for r, flag in zip(page.records, inside) if flag]
+        page.records = [r for r, flag in zip(page.records, inside) if not flag]
         new_page = _DataPage(sub_block)
         new_page.records = inner
         new_pid = self.store.allocate(PageKind.DATA, new_page)
@@ -358,9 +365,6 @@ class BangFile(PointAccessMethod):
             mbr = Rect.bounding_points([p for p, _ in inner])
         self._add_directory_entry(_Entry(sub_block, new_pid, mbr))
 
-    def _record_in_block(self, point: tuple[float, ...], bits: Bits) -> bool:
-        return blocks.is_prefix(bits, self._point_bits(point))
-
     def _choose_split_block(self, page: _DataPage) -> Bits | None:
         """Best-balance proper sub-block of the page's block.
 
@@ -368,20 +372,31 @@ class BangFile(PointAccessMethod):
         fuller half, and keeps the candidate whose inside/outside record
         counts are most balanced.  Candidates equal to an existing data
         block are skipped (the block is already someone else's region).
+        The records inside the current block narrow one level at a time,
+        so each level only looks at the next bit of the survivors.
         """
         total = len(page.records)
-        record_bits = [self._point_bits(p) for p, _ in page.records]
         current = page.bits
+        depth = len(current)
+        live = [
+            rb
+            for rb in (self._point_bits(p) for p, _ in page.records)
+            if rb[:depth] == current
+        ]
         best: Bits | None = None
         best_imbalance = total + 1
-        while len(current) < blocks.MAX_DEPTH:
-            zero = current + (0,)
-            count0 = sum(1 for rb in record_bits if blocks.is_prefix(zero, rb))
-            count1 = sum(1 for rb in record_bits if blocks.is_prefix(current, rb)) - count0
+        while depth < blocks.MAX_DEPTH:
+            zero = [rb for rb in live if not rb[depth]]
+            count0 = len(zero)
+            count1 = len(live) - count0
             if count0 == 0 and count1 == 0:
                 break
-            current = zero if count0 >= count1 else current + (1,)
-            inner = count0 if count0 >= count1 else count1
+            if count0 >= count1:
+                current, inner, live = current + (0,), count0, zero
+            else:
+                current, inner = current + (1,), count1
+                live = [rb for rb in live if rb[depth]]
+            depth += 1
             if 0 < inner < total and current not in self._data_blocks:
                 imbalance = abs(inner - (total - inner))
                 if imbalance < best_imbalance:

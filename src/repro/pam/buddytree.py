@@ -300,21 +300,24 @@ class BuddyTree(PointAccessMethod):
         for entry in node.entries:
             if entry.rect.contains_point(point):
                 return entry
-        containing = [
-            e
-            for e in node.entries
-            if blocks.block_rect(e.block(self.dims), self.dims).contains_point(point)
-        ]
-        if containing:
-            # Buddy rectangles of siblings are nested or disjoint; the
-            # deepest (smallest) one is the responsible region.
-            return max(containing, key=lambda e: len(e.block(self.dims)))
-        point_bits = blocks.bits_of_point(point, self.dims, blocks.MAX_DEPTH)
+        dims = self.dims
+        buddies = [e.block(dims) for e in node.entries]
+        # Buddy rectangles of siblings are nested or disjoint; the deepest
+        # (smallest, first on ties) one containing the point is responsible.
+        best_block: blocks.Bits | None = None
         best: _Entry | None = None
+        for entry, block in zip(node.entries, buddies):
+            if blocks.block_rect(block, dims).contains_point(point) and (
+                best_block is None or len(block) > len(best_block)
+            ):
+                best, best_block = entry, block
+        if best is not None:
+            return best
+        point_bits = blocks.bits_of_point(point, dims, blocks.MAX_DEPTH)
         best_len = -1
-        for entry in node.entries:
-            grown_block = blocks.common_prefix(entry.block(self.dims), point_bits)
-            grown_rect = blocks.block_rect(grown_block, self.dims)
+        for entry, block in zip(node.entries, buddies):
+            grown_block = blocks.common_prefix(block, point_bits)
+            grown_rect = blocks.block_rect(grown_block, dims)
             if any(
                 other is not entry and grown_rect.intersects(other.rect)
                 for other in node.entries

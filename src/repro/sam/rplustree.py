@@ -17,6 +17,8 @@ tolerated overflow (the structure's known weakness).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from repro.core.interfaces import SpatialAccessMethod
 from repro.geometry.rect import Rect
 from repro.storage import layout
@@ -240,9 +242,17 @@ class RPlusTree(SpatialAccessMethod):
         return left, right
 
     def _choose_leaf_plane(self, leaf: _Leaf, region: Rect):
-        """Plane minimising clipped entries, ties by balance."""
+        """Plane minimising clipped entries, ties by balance.
+
+        Per axis the entries' bounds are sorted once, and each candidate
+        counts its sides by bisection: ``left`` has ``hi <= value``, and
+        ``crossing`` (``lo < value < hi``) is every ``lo < value`` except
+        those already left, which are all of ``left`` but the
+        zero-extent entries sitting exactly at ``value``.
+        """
         best = None
         best_key = None
+        total = len(leaf.rects)
         for axis in range(self.dims):
             candidates = set()
             for rect in leaf.rects:
@@ -251,12 +261,14 @@ class RPlusTree(SpatialAccessMethod):
                         candidates.add(v)
             mid = (region.lo[axis] + region.hi[axis]) / 2.0
             candidates.add(mid)
+            los = sorted(r.lo[axis] for r in leaf.rects)
+            his = sorted(r.hi[axis] for r in leaf.rects)
+            flats = sorted(r.lo[axis] for r in leaf.rects if r.lo[axis] == r.hi[axis])
             for value in candidates:
-                crossing = sum(
-                    1 for r in leaf.rects if r.lo[axis] < value < r.hi[axis]
-                )
-                left = sum(1 for r in leaf.rects if r.hi[axis] <= value)
-                right = len(leaf.rects) - left - crossing
+                left = bisect_right(his, value)
+                flat = bisect_right(flats, value) - bisect_left(flats, value)
+                crossing = bisect_left(los, value) - (left - flat)
+                right = total - left - crossing
                 if left + crossing > self._capacity or right + crossing > self._capacity:
                     continue  # the split would not relieve the overflow
                 key = (crossing, abs(left - right))

@@ -17,6 +17,8 @@ measuring-stick configuration is Guttman's split with that fill.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.interfaces import SpatialAccessMethod
 from repro.geometry.rect import Rect
 from repro.storage import layout
@@ -28,6 +30,51 @@ from repro.query import traverse
 __all__ = ["RTree"]
 
 _SPLIT_POLICIES = ("guttman", "greene", "margin")
+
+
+# -- Guttman's quadratic split over bound arrays ---------------------------
+#
+# The kernels below evaluate exactly the scalar expressions of
+# ``Rect.area`` / ``Rect.union(...).area()`` elementwise: each volume is
+# ``1.0`` multiplied by every axis extent in axis order, each waste is
+# ``(U - A_i) - A_j``, and ``argmax`` keeps the first maximum, which is
+# the tie-break of the row-major scalar loops.
+
+
+def _bounds(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` arrays, one row per entry rectangle."""
+    lo = np.array([r.lo for r, _ in entries], dtype=float)
+    hi = np.array([r.hi for r, _ in entries], dtype=float)
+    return lo, hi
+
+
+def _enlargements(lo: np.ndarray, hi: np.ndarray, box: Rect) -> np.ndarray:
+    """``box.enlargement(row)`` for every row."""
+    union = np.ones(len(lo))
+    for axis, (l, h) in enumerate(zip(box.lo, box.hi)):
+        union *= np.maximum(hi[:, axis], h) - np.minimum(lo[:, axis], l)
+    return union - box.area()
+
+
+def _pick_seeds(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int]:
+    """Quadratic seed pick: the first pair ``i < j`` wasting the most area.
+
+    A pair must waste more than ``-1.0`` (the scalar loop's start
+    value); otherwise the seeds are ``(0, 1)``.
+    """
+    n = len(lo)
+    area = np.ones(n)
+    union = np.ones((n, n))
+    for axis in range(lo.shape[1]):
+        l, h = lo[:, axis], hi[:, axis]
+        area *= h - l
+        union *= np.maximum.outer(h, h) - np.minimum.outer(l, l)
+    waste = (union - area[:, None]) - area[None, :]
+    waste[np.tril_indices(n)] = -np.inf
+    flat = int(waste.argmax())
+    if not waste.flat[flat] > -1.0:
+        return 0, 1
+    return divmod(flat, n)
 
 
 class _Node:
@@ -162,12 +209,26 @@ class RTree(SpatialAccessMethod):
         return self._split(pid, node)
 
     def _choose_subtree(self, node: _Node, rect: Rect) -> int:
-        """Least-enlargement child, ties by smallest area (Guttman)."""
-        best, best_key = 0, None
+        """Least-enlargement child, ties by smallest area (Guttman).
+
+        Each entry's area and union area are multiplied out inline
+        (``Rect.area`` / ``Rect.union_area`` order), and the first entry
+        with the smallest ``(enlargement, area)`` wins.
+        """
+        qlo, qhi = rect.lo, rect.hi
+        best, best_grow, best_area = 0, None, None
         for i, r in enumerate(node.rects):
-            key = (r.enlargement(rect), r.area())
-            if best_key is None or key < best_key:
-                best, best_key = i, key
+            area = union = 1.0
+            for l, h, ql, qh in zip(r.lo, r.hi, qlo, qhi):
+                area *= h - l
+                union *= (qh if qh > h else h) - (ql if ql < l else l)
+            grow = union - area
+            if (
+                best_grow is None
+                or grow < best_grow
+                or (grow == best_grow and area < best_area)
+            ):
+                best, best_grow, best_area = i, grow, area
         return best
 
     def _grow_root(self, split: tuple[Rect, int]) -> None:
@@ -205,54 +266,48 @@ class RTree(SpatialAccessMethod):
         self.store.write(sibling_pid)
         return Rect.bounding(sibling.rects), sibling_pid
 
-    def _pick_seeds(self, entries: list) -> tuple[int, int]:
-        """Quadratic seed pick: the pair wasting the most area."""
-        worst, pair = -1.0, (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                waste = (
-                    entries[i][0].union(entries[j][0]).area()
-                    - entries[i][0].area()
-                    - entries[j][0].area()
-                )
-                if waste > worst:
-                    worst, pair = waste, (i, j)
-        return pair
-
     def _split_guttman(self, entries: list) -> tuple[list, list]:
-        i, j = self._pick_seeds(entries)
+        lo, hi = _bounds(entries)
+        i, j = _pick_seeds(lo, hi)
         left, right = [entries[i]], [entries[j]]
         left_rect, right_rect = entries[i][0], entries[j][0]
-        rest = [e for k, e in enumerate(entries) if k not in (i, j)]
-        while rest:
+        rest = [k for k in range(len(entries)) if k not in (i, j)]
+        lo, hi = lo[rest], hi[rest]
+        # Each side's enlargements change only when that side grows.
+        grow_left = _enlargements(lo, hi, left_rect)
+        grow_right = _enlargements(lo, hi, right_rect)
+        taken = np.zeros(len(rest), dtype=bool)
+        remaining = len(rest)
+        while remaining:
             # Force assignment when one side must take everything left.
-            if len(left) + len(rest) <= self._min_entries:
-                left.extend(rest)
+            if len(left) + remaining <= self._min_entries:
+                left.extend(entries[rest[k]] for k in np.flatnonzero(~taken))
                 break
-            if len(right) + len(rest) <= self._min_entries:
-                right.extend(rest)
+            if len(right) + remaining <= self._min_entries:
+                right.extend(entries[rest[k]] for k in np.flatnonzero(~taken))
                 break
-            # PickNext: entry with the largest preference difference.
-            best_k, best_diff = 0, -1.0
-            for k, (rect, _) in enumerate(rest):
-                diff = abs(left_rect.enlargement(rect) - right_rect.enlargement(rect))
-                if diff > best_diff:
-                    best_k, best_diff = k, diff
-            rect, child = rest.pop(best_k)
-            grow_left = left_rect.enlargement(rect)
-            grow_right = right_rect.enlargement(rect)
-            key = (grow_left, left_rect.area(), len(left))
-            other = (grow_right, right_rect.area(), len(right))
+            # PickNext: first entry with the largest preference difference
+            # (every |diff| is >= 0, so taken slots at -1 never win).
+            diff = np.abs(grow_left - grow_right)
+            diff[taken] = -1.0
+            k = int(diff.argmax())
+            taken[k] = True
+            remaining -= 1
+            entry = entries[rest[k]]
+            key = (float(grow_left[k]), left_rect.area(), len(left))
+            other = (float(grow_right[k]), right_rect.area(), len(right))
             if key <= other:
-                left.append((rect, child))
-                left_rect = left_rect.union(rect)
+                left.append(entry)
+                left_rect = left_rect.union(entry[0])
+                grow_left = _enlargements(lo, hi, left_rect)
             else:
-                right.append((rect, child))
-                right_rect = right_rect.union(rect)
+                right.append(entry)
+                right_rect = right_rect.union(entry[0])
+                grow_right = _enlargements(lo, hi, right_rect)
         return left, right
 
     def _split_greene(self, entries: list) -> tuple[list, list]:
-        i, j = self._pick_seeds(entries)
+        i, j = _pick_seeds(*_bounds(entries))
         # Choose the axis with the greatest normalised seed separation.
         best_axis, best_sep = 0, -1.0
         for axis in range(self.dims):

@@ -58,6 +58,16 @@ class TestPointBits:
         with pytest.raises(ValueError):
             blocks.bits_of_point((-0.1, 0.5), 2, 4)
 
+    @pytest.mark.parametrize("point", [(float("nan"), 0.5), (0.5, float("nan"))])
+    def test_nan_raises_outside_cube(self, point):
+        with pytest.raises(ValueError, match="outside the unit cube"):
+            blocks.bits_of_point(point, 2, 4)
+        # Rect rejects NaN, so build the box unchecked to reach the corner
+        # quantizer directly.
+        box = Rect._make(point, (1.0, 1.0))
+        with pytest.raises(ValueError, match="outside the unit cube"):
+            blocks.min_enclosing_block(box, 2)
+
     def test_too_deep_raises(self):
         with pytest.raises(ValueError):
             blocks.bits_of_point((0.5, 0.5), 2, blocks.MAX_DEPTH + 1)

@@ -36,6 +36,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="inverted"):
             Rect((0.5, 0.0), (0.4, 1.0))
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ((float("nan"), 0.0), (1.0, 1.0)),
+            ((0.0, 0.0), (1.0, float("nan"))),
+            ((float("nan"),), (float("nan"),)),
+        ],
+    )
+    def test_nan_rejected(self, lo, hi):
+        # ``nan > h`` is False, so only ``not l <= h`` catches NaN.
+        with pytest.raises(ValueError, match="inverted"):
+            Rect(lo, hi)
+
     def test_degenerate_allowed(self):
         r = Rect.from_point((0.3, 0.3))
         assert r.area() == 0.0

@@ -26,6 +26,11 @@ class TestZValue:
         with pytest.raises(ValueError):
             z_value((-0.5, 0.0), 2)
 
+    @pytest.mark.parametrize("point", [(float("nan"), 0.0), (0.0, float("nan"))])
+    def test_nan_raises_outside_cube(self, point):
+        with pytest.raises(ValueError, match="outside the unit cube"):
+            z_value(point, 2)
+
     @given(unit_floats, unit_floats, st.integers(1, 12))
     def test_matches_block_addressing(self, x, y, bpa):
         """The z-value's bits are exactly the cyclic block address."""
