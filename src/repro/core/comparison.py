@@ -117,7 +117,6 @@ def build_pam(
     page_size: int = 512,
     tracer=None,
     audit: bool | None = None,
-    vector: bool | None = None,
     store_factory: Callable[..., PageStore] | None = None,
 ) -> PointAccessMethod:
     """Build a fresh PAM over its own page store and insert all points.
@@ -131,18 +130,14 @@ def build_pam(
     :class:`repro.verify.AuditError` on any violation; ``None`` defers
     to the ``REPRO_AUDIT`` environment variable.
 
-    ``vector`` forces the store's columnar cache on or off; ``None``
-    defers to ``REPRO_VECTOR`` (default on).  Builds are identical
-    either way — the cache only accelerates query-time filtering.
-
     ``store_factory`` overrides store construction (it is called as
-    ``store_factory(page_size=..., vector=...)``); ``None`` defers to
+    ``store_factory(page_size=...)``); ``None`` defers to
     :func:`repro.storage.factory.make_store` and thus to the
     ``REPRO_STORE_BACKEND`` environment variable.
     """
     if store_factory is None:
         store_factory = make_store
-    store = store_factory(page_size=page_size, vector=vector)
+    store = store_factory(page_size=page_size)
     if tracer is not None:
         tracer.set_context(op="setup").attach(store)
     pam = factory(store, dims=dims)
@@ -162,17 +157,16 @@ def build_sam(
     page_size: int = 512,
     tracer=None,
     audit: bool | None = None,
-    vector: bool | None = None,
     store_factory: Callable[..., PageStore] | None = None,
 ) -> SpatialAccessMethod:
     """Build a fresh SAM over its own page store and insert all rectangles.
 
-    ``audit``, ``vector`` and ``store_factory`` behave as in
+    ``audit`` and ``store_factory`` behave as in
     :func:`build_pam`.
     """
     if store_factory is None:
         store_factory = make_store
-    store = store_factory(page_size=page_size, vector=vector)
+    store = store_factory(page_size=page_size)
     if tracer is not None:
         tracer.set_context(op="setup").attach(store)
     sam = factory(store, dims=dims)
@@ -192,8 +186,8 @@ def run_pam_queries(
 
     With a ``tracer``, each query file's operations are recorded as
     spans labelled with the file's query type.  Each file runs through
-    :func:`repro.query.driver.run_query_file`, so a store with a
-    columnar cache evaluates the whole file as one batched workload.
+    :func:`repro.query.driver.run_query_file`, so the whole file is
+    evaluated as one batched workload.
 
     ``explain`` is an optional
     :class:`~repro.obs.explain.ExplainRecorder`; when given, every

@@ -134,34 +134,29 @@ class _AccessMethodBase(abc.ABC):
     # -- batched query workloads -------------------------------------------
 
     def register_query_workload(self, kind: str, queries: Sequence) -> None:
-        """Register a whole query file for batched vectorized evaluation.
+        """Register a whole query file for batched evaluation.
 
         ``kind`` is a query-type tag (``range``, ``pm``, ``point``,
         ``intersection``, ``containment``, ``enclosure``) and ``queries``
         the file's raw queries in execution order.  The driver
         (:mod:`repro.query.driver`) marks the current query index before
-        each call, letting the scan helpers evaluate each visited page
-        against the *entire* batch in one kernel call.  Registration is
-        purely an evaluation hint: results and disk-access statistics are
-        identical with or without it, and it is a no-op when the store
-        has no columnar cache (``REPRO_VECTOR=0``).
+        each call, letting the traversal evaluate each hot page against
+        the *entire* batch in one kernel call.  Registration is purely an
+        evaluation hint: results and disk-access statistics are identical
+        with or without it.
         """
-        cache = self.store.columnar
-        if cache is not None:
-            cache.begin_workload(self._workload_rects(kind, queries))
+        self.store.columnar.begin_workload(self._workload_rects(kind, queries))
 
     def end_query_workload(self) -> None:
         """Deregister the batch installed by :meth:`register_query_workload`."""
-        cache = self.store.columnar
-        if cache is not None:
-            cache.end_workload()
+        self.store.columnar.end_workload()
 
     def _workload_rects(self, kind: str, queries: Sequence) -> list:
-        """Map a query file to the boxes the scan paths will be asked about.
+        """Map a query file to the boxes the traversal will be asked about.
 
         Must replicate the public query methods' conversions exactly, so
-        that the box a scan helper receives compares equal to the
-        registered one.  Structures that rewrite queries before scanning
+        that the box a :class:`~repro.query.traverse.RowSource` receives
+        compares equal to the registered one.  Structures that rewrite queries before scanning
         (the transformation technique) override this.
         """
         if kind == "pm":

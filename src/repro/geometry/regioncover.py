@@ -8,6 +8,10 @@ into its block is entirely covered by nested sibling blocks.  The test
 exactly here by coordinate compression: the boundaries of the covering
 rectangles cut T into a small grid, and T is covered iff every grid cell
 center is inside some covering rectangle.
+
+The coverage tests treat the covers as closed boxes, but blocks are
+half-open: a point on a block's upper face belongs to the block above
+it.  :func:`half_open_hi` bridges the two — see there.
 """
 
 from __future__ import annotations
@@ -20,7 +24,44 @@ import numpy as np
 
 from repro.geometry.rect import Rect
 
-__all__ = ["CoverSet", "is_covered"]
+__all__ = ["CoverSet", "cover_cuts", "half_open_hi", "is_covered"]
+
+
+def cover_cuts(covers: Sequence[Rect]) -> list[list[float]]:
+    """Per axis, the sorted distinct boundaries of ``covers``."""
+    return [
+        sorted({v for c in covers for v in (c.lo[a], c.hi[a])})
+        for a in range(covers[0].dims)
+    ]
+
+
+def half_open_hi(
+    hi: tuple[float, ...], limit: tuple[float, ...], cuts: Sequence[list[float]]
+) -> tuple[float, ...]:
+    """The upper corner that makes a closed coverage test half-open.
+
+    The covers are half-open blocks: a target coordinate ``h`` equal to a
+    cover boundary holds points that belong to the cell just *above*
+    ``h``, which a closed test never looks at (it would call a point on
+    an exposed upper face covered).  Raising ``h`` to the next boundary
+    in ``cuts`` — or to ``limit`` past the last one — puts that cell
+    inside the target, so the closed test then answers for the half-open
+    blocks.  A coordinate strictly between boundaries already shares its
+    cell's verdict and stays.  So does a coordinate at ``limit``, the
+    enclosing block's own upper corner: points on that face are not in
+    the enclosing block (or, at the data space's upper edge, belong to
+    the closed top blocks), so the closed verdict is the right one there.
+    """
+    out = None
+    for axis, h in enumerate(hi):
+        if h < limit[axis]:
+            bounds = cuts[axis]
+            i = bisect_right(bounds, h)
+            if i and bounds[i - 1] == h:
+                if out is None:
+                    out = list(hi)
+                out[axis] = bounds[i] if i < len(bounds) else limit[axis]
+    return hi if out is None else tuple(out)
 
 
 def is_covered(target: Rect, covers: Iterable[Rect]) -> bool:
@@ -122,10 +163,7 @@ class CoverSet:
         dims = covers[0].dims
         self._ulo = tuple(min(c.lo[a] for c in covers) for a in range(dims))
         self._uhi = tuple(max(c.hi[a] for c in covers) for a in range(dims))
-        cuts = [
-            sorted({v for c in covers for v in (c.lo[a], c.hi[a])})
-            for a in range(dims)
-        ]
+        cuts = cover_cuts(covers)
         self._cuts = cuts
         exact = True
         centers = []
@@ -173,6 +211,12 @@ class CoverSet:
             strides.append(acc)
             acc *= n
         self._strides = tuple(reversed(strides))
+
+    def half_open_hi(
+        self, hi: tuple[float, ...], limit: tuple[float, ...]
+    ) -> tuple[float, ...]:
+        """:func:`half_open_hi` over this set's boundaries."""
+        return half_open_hi(hi, limit, self._cuts)
 
     def covers(self, target: Rect) -> bool:
         """True iff ``target`` is entirely covered by the union (exact)."""

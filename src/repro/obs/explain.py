@@ -149,7 +149,7 @@ def data_page_entries(obj) -> list | None:
 def _query_rect(method, kind: str, query) -> Rect:
     """The box the *final* predicate compares against, per query kind."""
     if kind in _POINT_KINDS:
-        # Same conversion the driver registers for the scan kernels.
+        # Same conversion the driver registers for the batched workload.
         return method._workload_rects(kind, [query])[0]
     if kind == "point":
         return Rect.from_point(tuple(float(c) for c in query))

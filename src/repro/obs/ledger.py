@@ -6,9 +6,9 @@ One line per run (schema :data:`LEDGER_SCHEMA`), each carrying
 
 * a **fingerprint** — git commit, a hash over every ``repro`` source
   file (the build cache's :func:`~repro.parallel.cache.code_fingerprint`),
-  page size, scale, seed, worker count, ``REPRO_VECTOR`` mode and the
-  ``REPRO_VECTOR_PROMOTE`` threshold override — so runs are only ever
-  compared against runs of the same code and configuration;
+  page size, scale, seed, worker count, query-path mode and promotion
+  threshold — so runs are only ever compared against runs of the same
+  code and configuration;
 * **metrics** — an arbitrary nesting of numeric leaves; wall-clock
   costs end in ``_seconds`` and are the leaves the regression gate
   evaluates (lower is better);
@@ -114,19 +114,20 @@ def collect_fingerprint(
     scale: int,
     seed: int | None = None,
     workers: int = 1,
-    vector: str | None = None,
-    promote: str | None = None,
+    vector: str = "1",
     commit: str | None = None,
     code: str | None = None,
     storage: Mapping | None = None,
 ) -> dict:
     """Everything a run's performance legitimately depends on.
 
-    ``vector`` defaults to the resolved ``REPRO_VECTOR`` mode (``"1"``
-    or ``"0"``); A/B harnesses that time both modes pass ``"ab"``.
-    ``promote`` defaults to the ``REPRO_VECTOR_PROMOTE`` threshold
-    override (``"default"`` when unset) — tuned runs carry the value so
-    they never gate against untuned baselines.  ``code`` reuses the
+    ``vector`` is ``"1"`` for runs of the batched query path (the only
+    production path); A/B harnesses that time it against the scalar
+    reference descents pass ``"ab"``.  ``vector_promote`` records the
+    workload promotion threshold, which is always ``"default"``
+    (:func:`repro.query.columnar.promote_visits_for`).  Both keys keep
+    their historical values, so recorded digests and pinned baselines
+    stay valid.  ``code`` reuses the
     build cache's source fingerprint, so any edit anywhere in the
     package separates histories automatically.
 
@@ -137,12 +138,6 @@ def collect_fingerprint(
     so every previously recorded digest and pinned baseline stays
     valid.
     """
-    if vector is None:
-        from repro.query.columnar import vector_enabled
-
-        vector = "1" if vector_enabled() else "0"
-    if promote is None:
-        promote = os.environ.get("REPRO_VECTOR_PROMOTE", "").strip() or "default"
     if code is None:
         from repro.parallel.cache import code_fingerprint
 
@@ -155,7 +150,7 @@ def collect_fingerprint(
         "seed": seed,
         "workers": workers,
         "vector": str(vector),
-        "vector_promote": str(promote),
+        "vector_promote": "default",
     }
     if storage is not None:
         fingerprint["storage"] = dict(storage)
@@ -776,7 +771,7 @@ def entry_from_bench_document(
 ) -> LedgerEntry:
     """Build an entry from a bench artefact, dispatching on its schema.
 
-    Understands ``repro.query/bench/v1`` (the scalar/vector A/B
+    Understands ``repro.query/bench/v1`` (the reference/production A/B
     harness), ``repro.parallel/bench/v1`` (the grid timing bench),
     ``repro.obs/clip-redundancy/v1`` (the clipping redundancy sweep)
     and ``repro.obs/run-report/v1``.  ``inflate`` scales every

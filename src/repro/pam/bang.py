@@ -41,7 +41,7 @@ from repro.core.interfaces import PointAccessMethod
 from repro.geometry import blocks
 from repro.geometry.blocks import Bits
 from repro.geometry.rect import Rect
-from repro.geometry.regioncover import CoverSet, is_covered
+from repro.geometry.regioncover import CoverSet
 from repro.storage import layout
 from repro.storage.page import PageKind
 from repro.storage.pagestore import PageStore
@@ -638,7 +638,12 @@ class BangFile(PointAccessMethod):
     def _keep_leaf_entries(self, entries, idx: list, rect: Rect) -> list:
         """Filter a leaf's block/MBR hits by the nesting-coverage rule:
         an entry whose overlap with the query is entirely covered by
-        sibling blocks nested inside it holds no reachable records."""
+        sibling blocks nested inside it holds no reachable records.
+
+        Blocks are half-open, so a query edge lying on a nested block's
+        upper face is tested against the cell above it
+        (:func:`~repro.geometry.regioncover.half_open_hi`): the points
+        on that face live on the enclosing entry's page."""
         info = entries.view("nested", self._build_nested)
         qlo = rect.lo
         qhi = rect.hi
@@ -659,7 +664,9 @@ class BangFile(PointAccessMethod):
                     if covered is None:
                         covered = slot[2] = nested.covers(block)
                 else:
-                    covered = nested.covers_bounds(olo, ohi)
+                    covered = nested.covers_bounds(
+                        olo, nested.half_open_hi(ohi, bhi)
+                    )
                 if covered:
                     continue
             out.append(i)
@@ -667,8 +674,6 @@ class BangFile(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        if store.columnar is None:
-            return self._range_query_scalar(rect)
         # Plan: level-at-a-time over uncharged views; block and MBR gates
         # of every cold directory page of a level — and, afterwards, every
         # cold data page — share one fused kernel call per op (see
@@ -794,66 +799,6 @@ class BangFile(PointAccessMethod):
             else:
                 stack.extend(expansion[pid])
         return result
-
-    def _range_query_scalar(
-        self, rect: Rect
-    ) -> list[tuple[tuple[float, ...], object]]:
-        """The original scalar descent (the ``REPRO_VECTOR=0`` kill switch)."""
-        result: list[tuple[tuple[float, ...], object]] = []
-        stack = [self._root_pid]
-        while stack:
-            pid = stack.pop()
-            node: _DirNode = self.store.read(pid)
-            if node.is_leaf:
-                for entry in self._relevant_data_entries_scalar(node, rect):
-                    page: _DataPage = self.store.read(entry.pid)
-                    result.extend(
-                        rec for rec in page.records if rect.contains_point(rec[0])
-                    )
-            else:
-                # Inner entries cannot be pruned by nesting: a data block
-                # shorter than a nested sibling may keep records inside
-                # the sibling's rectangle in a different subtree.  With
-                # minimal regions, an entry whose region misses the query
-                # can be pruned — the §9 improvement.
-                for entry in node.entries:
-                    if not blocks.block_rect(entry.bits, self.dims).intersects(rect):
-                        continue
-                    if self.minimal_regions and (
-                        entry.mbr is None or not entry.mbr.intersects(rect)
-                    ):
-                        continue
-                    stack.append(entry.pid)
-        return result
-
-    def _relevant_data_entries_scalar(
-        self, leaf: _DirNode, rect: Rect
-    ) -> list[_Entry]:
-        """Data entries to read: the block overlaps the query and the
-        overlap is not entirely covered by sibling data blocks nested
-        inside it (records in the covered part live on those pages)."""
-        entries = leaf.entries
-        out = []
-        for entry in entries:
-            if self.minimal_regions and (
-                entry.mbr is None or not entry.mbr.intersects(rect)
-            ):
-                continue
-            block = blocks.block_rect(entry.bits, self.dims)
-            overlap = block.intersection(rect)
-            if overlap is None:
-                continue
-            nested = [
-                blocks.block_rect(other.bits, self.dims)
-                for other in entries
-                if other is not entry
-                and len(other.bits) > len(entry.bits)
-                and blocks.is_prefix(entry.bits, other.bits)
-            ]
-            if nested and is_covered(overlap, nested):
-                continue
-            out.append(entry)
-        return out
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:
         pid = self._search_data_page(point, prune=True)

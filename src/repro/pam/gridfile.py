@@ -111,27 +111,20 @@ class _GridLayer:
         """Payload responsible for ``point``."""
         return self.cells[self.cell_of_point(point)]
 
-    def payloads_in_rect(self, rect: Rect, vector: bool = False) -> list[object]:
+    def payloads_in_rect(self, rect: Rect) -> list[object]:
         """Distinct payloads whose box intersects the closed ``rect``.
 
         Uses the per-payload boxes rather than enumerating cells, so the
-        cost is proportional to the number of payloads, not cells.  With
-        ``vector=True`` (callers pass their store's columnar setting) the
+        cost is proportional to the number of payloads, not cells.  The
         box rectangles are tested in one NumPy call over a cached bounds
-        snapshot; payload order — and therefore the order data pages are
-        read in — is the boxes-dict order either way.
+        snapshot; payloads come back in boxes-dict order, which is the
+        order data pages are read in.
         """
-        if vector and len(self.boxes) > 1:
-            pids, lo, hi = self._box_bounds()
-            mask = kernels.boxes_intersect(
-                lo, hi, np.asarray(rect.lo, dtype=float), np.asarray(rect.hi, dtype=float)
-            )
-            return [pids[i] for i in np.nonzero(mask)[0]]
-        result = []
-        for pid in self.boxes:
-            if self.box_rect(pid).intersects(rect):
-                result.append(pid)
-        return result
+        pids, lo, hi = self._box_bounds()
+        mask = kernels.boxes_intersect(
+            lo, hi, np.asarray(rect.lo, dtype=float), np.asarray(rect.hi, dtype=float)
+        )
+        return [pids[i] for i in np.nonzero(mask)[0]]
 
     def _box_bounds(self) -> tuple[list[object], np.ndarray, np.ndarray]:
         """The cached ``(pids, lo, hi)`` snapshot of every payload box."""
@@ -461,8 +454,27 @@ class GridFile(PointAccessMethod):
         self.store.write(self._dir_page_of_cell(self._layer.cell_of_point(points[0])))
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
-        # Scales are in memory: identify candidate directory pages from
-        # the cell index ranges, then visit each intersecting data page.
+        self._read_directory(rect)
+        # Read-then-batch: the candidate set is content-independent, so
+        # the pages are read in the original (charged) order first and
+        # every cold page rides one fused kernel call.
+        store = self.store
+        pages = [
+            (pid, store.read(pid).records)
+            for pid in self._layer.payloads_in_rect(rect)
+        ]
+        rows = traverse.data_hit_rows(store, rect, pages)
+        result = []
+        for pid, records in pages:
+            result.extend([records[i] for i in rows[pid]])
+        return result
+
+    def _read_directory(self, rect: Rect) -> None:
+        """Charge the directory pages holding the cells ``rect`` meets.
+
+        Scales are in memory, so the candidate directory pages follow
+        from the cell index ranges alone.
+        """
         touched_dir: set[int] = set()
         lo_cell = self._layer.cell_of_point(rect.lo)
         hi_cell = self._layer.cell_of_point(rect.hi)
@@ -480,25 +492,6 @@ class GridFile(PointAccessMethod):
                 break
         for dpid in touched_dir:
             self.store.read(dpid)
-        result = []
-        store = self.store
-        vector = store.columnar is not None
-        pids = self._layer.payloads_in_rect(rect, vector=vector)
-        if not vector:
-            for pid in pids:
-                page: _DataPage = store.read(pid)
-                result.extend(
-                    rec for rec in page.records if rect.contains_point(rec[0])
-                )
-            return result
-        # Read-then-batch: the candidate set is content-independent, so
-        # the pages are read in the original (charged) order first and
-        # every cold page rides one fused kernel call.
-        pages = [(pid, store.read(pid).records) for pid in pids]
-        rows = traverse.data_hit_rows(store, rect, pages)
-        for pid, records in pages:
-            result.extend([records[i] for i in rows[pid]])
-        return result
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:
         pid = self._locate(point)

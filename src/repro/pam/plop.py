@@ -19,7 +19,7 @@ overlapping-regions technique, as one of the four compared SAMs
 from __future__ import annotations
 
 import bisect
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.interfaces import PointAccessMethod
 from repro.geometry.rect import Rect
@@ -147,8 +147,8 @@ class _PlopGrid:
     def iter_chain_pages(self, idx: tuple[int, ...]):
         """Yield ``(pid, records)`` per chain page, charging every read.
 
-        Page-granular variant of :meth:`read_chain` for the vectorized
-        scan helpers; reads the same pages in the same order.
+        Page-granular variant of :meth:`read_chain` for the batched
+        range queries; reads the same pages in the same order.
         """
         bucket = self.buckets.get(idx)
         if bucket is None:
@@ -156,6 +156,25 @@ class _PlopGrid:
         for pid in bucket.chain:
             page: _PlopPage = self.store.read(pid)
             yield pid, page.records
+
+    def iter_window_pages(self, ranges: Sequence[range]):
+        """:meth:`iter_chain_pages` over every bucket of a window.
+
+        ``ranges`` holds one slice-index range per axis; buckets are
+        visited in odometer order, axis 0 fastest.
+        """
+        idx = [r.start for r in ranges]
+        while True:
+            yield from self.iter_chain_pages(tuple(idx))
+            axis = 0
+            while axis < self.dims:
+                idx[axis] += 1
+                if idx[axis] < ranges[axis].stop:
+                    break
+                idx[axis] = ranges[axis].start
+                axis += 1
+            if axis == self.dims:
+                return
 
     def index_range(self, axis: int, lo: float, hi: float) -> range:
         """Slice indices of ``axis`` whose interval meets ``[lo, hi]``."""
@@ -299,39 +318,23 @@ class PlopHashing(PointAccessMethod):
         self._grid.insert((point, rid))
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
+        # Read-then-batch: chains are read in the original order first;
+        # every cold page then rides one fused kernel call.
+        pages = self._read_window(rect)
+        rows = traverse.data_hit_rows(self.store, rect, pages)
+        result = []
+        for pid, records in pages:
+            result.extend([records[i] for i in rows[pid]])
+        return result
+
+    def _read_window(self, rect: Rect) -> list[tuple[int, list]]:
+        """``(pid, records)`` of every chain page of the buckets ``rect``
+        meets, read (and charged) in bucket order."""
         ranges = [
             self._grid.index_range(axis, rect.lo[axis], rect.hi[axis])
             for axis in range(self.dims)
         ]
-        result = []
-        store = self.store
-        vector = store.columnar is not None
-        pages = [] if vector else None
-        idx = [r.start for r in ranges]
-        while True:
-            for pid, records in self._grid.iter_chain_pages(tuple(idx)):
-                if vector:
-                    pages.append((pid, records))
-                else:
-                    result.extend(
-                        rec for rec in records if rect.contains_point(rec[0])
-                    )
-            axis = 0
-            while axis < self.dims:
-                idx[axis] += 1
-                if idx[axis] < ranges[axis].stop:
-                    break
-                idx[axis] = ranges[axis].start
-                axis += 1
-            if axis == self.dims:
-                break
-        if vector:
-            # Read-then-batch: chains were read in the original order
-            # above; evaluate every cold page in one fused kernel call.
-            rows = traverse.data_hit_rows(store, rect, pages)
-            for pid, records in pages:
-                result.extend([records[i] for i in rows[pid]])
-        return result
+        return list(self._grid.iter_window_pages(ranges))
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:
         records = self._grid.read_chain(self._grid.address(point))

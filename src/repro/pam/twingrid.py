@@ -205,41 +205,41 @@ class TwinGridFile(PointAccessMethod):
 
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         result: list[tuple[tuple[float, ...], object]] = []
+        store = self.store
         for layer_index, layer in enumerate(self._layers):
-            lo_cell = layer.cell_of_point(rect.lo)
-            hi_cell = layer.cell_of_point(rect.hi)
-            touched: set[int] = set()
-            idx = list(lo_cell)
-            while True:
-                touched.add(self._dir_page_of_cell(layer_index, tuple(idx)))
-                axis = 0
-                while axis < self.dims:
-                    idx[axis] += 1
-                    if idx[axis] <= hi_cell[axis]:
-                        break
-                    idx[axis] = lo_cell[axis]
-                    axis += 1
-                if axis == self.dims:
-                    break
-            for dpid in touched:
-                self.store.read(dpid)
-            store = self.store
-            pids = layer.payloads_in_rect(rect, vector=store.columnar is not None)
-            if store.columnar is None:
-                for pid in pids:
-                    page: _DataPage = store.read(pid)
-                    result.extend(
-                        rec for rec in page.records if rect.contains_point(rec[0])
-                    )
-                continue
+            self._read_directory(layer_index, rect)
             # Read-then-batch: candidate pages are content-independent,
             # so read them in the original order, then evaluate every
             # cold page of the layer in one fused kernel call.
-            pages = [(pid, store.read(pid).records) for pid in pids]
+            pages = [
+                (pid, store.read(pid).records)
+                for pid in layer.payloads_in_rect(rect)
+            ]
             rows = traverse.data_hit_rows(store, rect, pages)
             for pid, records in pages:
                 result.extend([records[i] for i in rows[pid]])
         return result
+
+    def _read_directory(self, layer_index: int, rect: Rect) -> None:
+        """Charge layer ``layer_index``'s directory pages ``rect`` meets."""
+        layer = self._layers[layer_index]
+        lo_cell = layer.cell_of_point(rect.lo)
+        hi_cell = layer.cell_of_point(rect.hi)
+        touched: set[int] = set()
+        idx = list(lo_cell)
+        while True:
+            touched.add(self._dir_page_of_cell(layer_index, tuple(idx)))
+            axis = 0
+            while axis < self.dims:
+                idx[axis] += 1
+                if idx[axis] <= hi_cell[axis]:
+                    break
+                idx[axis] = lo_cell[axis]
+                axis += 1
+            if axis == self.dims:
+                break
+        for dpid in touched:
+            self.store.read(dpid)
 
     def _exact_match(self, point: tuple[float, ...]) -> list[object]:
         out = []

@@ -177,8 +177,8 @@ class _BPlusTree:
     def scan_pages(self, lo, hi) -> Iterator[tuple]:
         """Yield ``(pid, leaf, start, stop)`` chunks with ``lo <= key < hi``.
 
-        Page-granular form of :meth:`scan` for the vectorized scan
-        helpers: the same leaves are read in the same order — the chain
+        Page-granular form of :meth:`scan` for the batched range
+        queries: the same leaves are read in the same order — the chain
         walk stops at the first leaf holding a key ``>= hi`` (that leaf
         is still read, exactly as the item-wise scan did).
         """
@@ -306,21 +306,14 @@ class ZOrderBTree(PointAccessMethod):
     def _insert(self, point: tuple[float, ...], rid: object) -> None:
         self._tree.insert(self._z(point), (point, rid))
 
+    def _query_regions(self, rect: Rect) -> list:
+        """The z-regions a range query over ``rect`` scans."""
+        max_depth = min(self.dims * Z_BITS_PER_AXIS, 20)
+        return decompose_rect(rect, self.dims, self.query_regions, max_depth)
+
     def _range_query(self, rect: Rect) -> list[tuple[tuple[float, ...], object]]:
         store = self.store
-        max_depth = min(self.dims * Z_BITS_PER_AXIS, 20)
-        regions = decompose_rect(rect, self.dims, self.query_regions, max_depth)
-        if store.columnar is None:
-            result = []
-            for bits in regions:
-                lo, hi = z_interval(bits, self.dims, Z_BITS_PER_AXIS)
-                for pid, leaf, start, stop in self._tree.scan_pages(lo, hi):
-                    result.extend(
-                        rec
-                        for rec in leaf.values[start:stop]
-                        if rect.contains_point(rec[0])
-                    )
-            return result
+        regions = self._query_regions(rect)
         # Read-then-batch: the z-interval leaf scans charge their reads in
         # the original order while only *collecting* (page, slice) visits;
         # all cold pages then share one fused kernel call, and the hit

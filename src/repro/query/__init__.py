@@ -1,21 +1,23 @@
-"""Vectorized query execution over the simulated page store.
+"""Batched query execution over the page store.
 
-The package replaces the per-record Python loops inside visited pages with
-NumPy kernels (:mod:`repro.geometry.kernels`) driven off small columnar
-caches of page contents (:mod:`repro.query.columnar`).  The invariant that
-makes this safe is spelled out in DESIGN.md: vectorization happens strictly
-*within* pages the scalar path already visits, so the set of pages touched —
-and every disk-access statistic the paper reports — is bit-identical with
-vectorization on or off (``REPRO_VECTOR=0`` is the kill switch).
+Every access method answers queries through one path: a level-at-a-time
+plan over uncharged page views whose predicates run as fused NumPy
+kernels over the pages' struct-of-arrays views, followed by a replay of
+the original descent that issues the charged reads.  The invariant that
+makes this safe is spelled out in DESIGN.md: batching decides *how* a
+visited page is evaluated, never *which* pages are visited, so every
+disk-access statistic the paper reports is that of the scalar descents
+in :mod:`repro.verify.reference`, which the tests and the A/B bench
+compare against access for access.
 
 Modules
 -------
-``columnar``   per-store cache of page coordinate arrays + batch workloads
-``scan``       in-page scan helpers shared by every access method
+``columnar``   batched query workloads + cross-workload promotion hints
+``traverse``   plan/replay primitives (:class:`~repro.query.traverse.RowSource`)
 ``driver``     batched query driver running a whole query file in one pass
-``bench``      scalar-vs-vector A/B harness (identity + wall-clock)
+``bench``      production-vs-reference A/B harness (identity + wall-clock)
 """
 
-from repro.query.columnar import ColumnarCache, vector_enabled
+from repro.query.columnar import ColumnarCache
 
-__all__ = ["ColumnarCache", "vector_enabled"]
+__all__ = ["ColumnarCache"]

@@ -1,12 +1,13 @@
-"""``python -m repro.query.bench`` — the scalar vs vectorized A/B harness.
+"""``python -m repro.query.bench`` — the reference vs production A/B harness.
 
 Runs the full §3/§7 query workload twice against every structure of the
-fuzz matrix (:data:`repro.verify.fuzz.STRUCTURES`) — once with the
-columnar caches disabled (the original scalar scan loops) and once with
-the vectorized execution layer — and verifies that every per-query
-disk-access count and every per-query result list is **bit-identical**
-across the two passes.  Each pass builds its structures from scratch, so
-path-buffer state cannot leak between modes.
+fuzz matrix (:data:`repro.verify.fuzz.STRUCTURES`) — once through the
+scalar reference descents (:func:`repro.verify.reference.as_reference`,
+reported as ``scalar``) and once through the production batched path
+(reported as ``vector``) — and verifies that every per-query disk-access
+count and every per-query result list is **bit-identical** across the
+two passes.  Each pass builds its structures from scratch, so path-buffer
+state cannot leak between passes.
 
 The identity matrix runs at two page sizes: the paper's 512-byte pages
 (the canonical testbed configuration) and the larger bench page size.
@@ -17,15 +18,15 @@ gain (those numbers are recorded too, as ``per_structure_paper``).  The
 headline ``speedup`` is aggregated over the structures of the standard
 comparison driver (:data:`DRIVER_STRUCTURES`).
 
-It then repeats the standard testbed comparison under a tracer in both
-modes, saves the two :class:`~repro.obs.export.RunReport` files, and
+It then repeats the standard testbed comparison under a tracer on both
+paths, saves the two :class:`~repro.obs.export.RunReport` files, and
 records wall-clock numbers in ``results/BENCH_QUERY.json``::
 
     PYTHONPATH=src python -m repro.query.bench --scale 2000
 
 CI diffs the two reports with ``python -m repro.obs.report`` and a zero
-fail-threshold: any access-count drift between the scalar and vectorized
-paths fails the build.
+fail-threshold: any access-count drift between the reference and the
+production path fails the build.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.obs.runner import traced_pam_run, traced_sam_run
 from repro.query.driver import run_query_file
 from repro.storage.pagestore import PageStore
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
+from repro.verify.reference import as_reference, reference_factories
 from repro.workloads.distributions import generate_point_file
 from repro.workloads.rect_distributions import generate_rect_file
 from repro.workloads.queries import (
@@ -96,7 +98,7 @@ def _run_workload(method, kind: str) -> list[tuple[str, list]]:
     """The full query workload of one structure as ``(label, outcomes)``.
 
     Outcomes are the driver's per-query ``(cost, result)`` pairs — the
-    exact material the identity check compares across modes.
+    exact material the identity check compares across the two paths.
     """
     files: list[tuple[str, list]] = []
     if kind == "pam":
@@ -127,16 +129,20 @@ def _run_workload(method, kind: str) -> list[tuple[str, list]]:
 
 
 def query_pass(
-    name: str, spec: dict, data, page_size: int, vector: bool
+    name: str, spec: dict, data, page_size: int, reference: bool
 ) -> tuple[list[tuple[str, list]], float, str]:
     """Build one structure from scratch and run its query workload.
 
-    Returns ``(outcomes, query_seconds, final store stats)``.  The build
-    is inside the pass so the search-path buffer enters the query phase
-    in the same state in both modes.
+    ``reference`` runs the queries through the scalar reference descents
+    instead of the production path.  Returns ``(outcomes, query_seconds,
+    final store stats)``.  The build is inside the pass so the
+    search-path buffer enters the query phase in the same state on both
+    paths.
     """
-    store = PageStore(page_size, vector=vector)
-    method = spec["factory"](store)
+    method = spec["factory"](PageStore(page_size))
+    if reference:
+        method = as_reference(method)
+    store = method.store
     for rid, item in enumerate(data):
         method.insert(item, rid)
     if name == "BUDDY+":
@@ -153,7 +159,7 @@ def run_identity_matrix(
     """A/B the whole structure matrix; returns ``(timings, mismatches)``.
 
     ``repeat`` re-times each structure's query phase that many times per
-    mode and keeps the per-structure minimum — outcomes and statistics
+    path and keeps the per-structure minimum — outcomes and statistics
     are compared on the first repetition only (they are deterministic;
     extra repetitions exist purely to shed scheduler noise from the
     wall-clock numbers, which matters when CI gates on a speedup floor).
@@ -164,11 +170,11 @@ def run_identity_matrix(
     mismatches: list[str] = []
     for name, spec in STRUCTURES.items():
         data = points if spec["kind"] == "pam" else rects
-        scalar, scalar_s, scalar_stats = query_pass(name, spec, data, page_size, False)
-        vector, vector_s, vector_stats = query_pass(name, spec, data, page_size, True)
+        scalar, scalar_s, scalar_stats = query_pass(name, spec, data, page_size, True)
+        vector, vector_s, vector_stats = query_pass(name, spec, data, page_size, False)
         for _ in range(repeat - 1):
-            _, s_again, _ = query_pass(name, spec, data, page_size, False)
-            _, v_again, _ = query_pass(name, spec, data, page_size, True)
+            _, s_again, _ = query_pass(name, spec, data, page_size, True)
+            _, v_again, _ = query_pass(name, spec, data, page_size, False)
             scalar_s = min(scalar_s, s_again)
             vector_s = min(vector_s, v_again)
         timings[name] = {
@@ -193,24 +199,25 @@ def run_identity_matrix(
 
 
 def _write_reports(scale: int, page_size: int, out_dir: Path) -> dict[str, str]:
-    """Standard-testbed RunReports in both modes, for the CI diff gate."""
+    """Standard-testbed RunReports on both paths, for the CI diff gate.
+
+    ``scalar`` is the reference run, ``vector`` the production run.
+    """
     points = generate_point_file("uniform", scale, seed=1)
     rects = generate_rect_file("uniform_small", scale, seed=2)
     paths: dict[str, str] = {}
-    for mode, vector in (("scalar", False), ("vector", True)):
+    for mode, wrap in (("scalar", reference_factories), ("vector", dict)):
         _, pam_report = traced_pam_run(
-            standard_pam_factories(),
+            wrap(standard_pam_factories()),
             points,
             label=f"query bench PAM ({mode})",
             page_size=page_size,
-            vector=vector,
         )
         _, sam_report = traced_sam_run(
-            standard_sam_factories(),
+            wrap(standard_sam_factories()),
             rects,
             label=f"query bench SAM ({mode})",
             page_size=page_size,
-            vector=vector,
         )
         pam_path = out_dir / f"BENCH_QUERY_pam_{mode}.json"
         sam_path = out_dir / f"BENCH_QUERY_sam_{mode}.json"
@@ -237,14 +244,15 @@ def main(argv: list[str] | None = None) -> int:
         "--repeat",
         type=int,
         default=1,
-        help="time each structure's query phase N times per mode and keep "
+        help="time each structure's query phase N times per path and keep "
         "the minimum (identity is checked on the first repetition)",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
-        help="fail (exit 2) if the comparison-driver speedup is below this factor",
+        help="fail (exit 2) if the comparison-driver speedup over the "
+        "reference is below this factor",
     )
     parser.add_argument(
         "--skip-paper-identity",
@@ -324,7 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  ledger: recorded {entry.run_id} -> {ledger.path}")
 
     print(
-        f"query A/B over {len(timings)} structures at scale {args.scale}, "
+        f"query A/B (scalar = reference, vector = production) over "
+        f"{len(timings)} structures at scale {args.scale}, "
         f"page size {args.page_size}:"
     )
     print(f"  matrix  scalar {scalar_total:8.3f}s  vector {vector_total:8.3f}s   "
@@ -333,7 +342,10 @@ def main(argv: list[str] | None = None) -> int:
           f"({speedup:.2f}x)")
     print(f"  wrote {out_path}")
     if mismatches:
-        print(f"FAIL: {len(mismatches)} scalar/vector mismatches", file=sys.stderr)
+        print(
+            f"FAIL: {len(mismatches)} reference/production mismatches",
+            file=sys.stderr,
+        )
         for line in mismatches[:20]:
             print(f"  {line}", file=sys.stderr)
         return 2

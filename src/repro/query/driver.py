@@ -1,19 +1,19 @@
 """The batched query driver: run one query file in a single pass.
 
-The driver is the third tier of the vectorized execution story
-(:mod:`repro.query.scan`): it registers a whole query file as a batched
-workload on the method's columnar cache, marks the current query index
-before each call, and runs every query under the usual per-operation
-disk-access measurement.  A page visited by many queries of the file is
+The driver registers a whole query file as a batched workload on the
+method's store (:mod:`repro.query.columnar`), marks the current query
+index before each call, and runs every query under the usual
+per-operation disk-access measurement.  A page visited by many queries of the file is
 then evaluated against *all* of them in one ``(Q, n)`` kernel call, and
 each later query reuses its cached mask row.
 
 Registration is an evaluation hint only: the queries still execute one
 at a time through the method's public API, so the pages touched and the
-per-query disk-access statistics are bit-identical to the scalar path.
-The driver is duck-typed — any object with ``store``,
-``register_query_workload`` and ``end_query_workload`` works — so it can
-be used without importing the core experiment machinery.
+per-query disk-access statistics are bit-identical to the scalar
+reference descents.  The driver is duck-typed — any object with
+``store``, ``register_query_workload`` and ``end_query_workload`` works —
+so the same loop drives a reference view
+(:func:`repro.verify.reference.as_reference`) for the identity checks.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ import time
 from typing import Any, Callable, Sequence
 
 __all__ = ["run_query_file"]
-
-
-def _measure(store, operation: Callable[[], Any]) -> tuple[int, Any]:
-    """Run one operation and return ``(disk accesses, result)``."""
-    before = store.stats.total
-    result = operation()
-    return store.stats.total - before, result
 
 
 def run_query_file(
@@ -43,8 +36,7 @@ def run_query_file(
     ``kind`` is the query-type tag understood by the method's
     ``_workload_rects`` (``range``, ``pm``, ``point``, ``intersection``,
     ``containment``, ``enclosure``); ``operation(query)`` must run exactly
-    one public query of ``method``.  Without a columnar cache
-    (``REPRO_VECTOR=0``) this degenerates to the plain per-query loop.
+    one public query of ``method``.
 
     ``explain`` is an optional
     :class:`~repro.obs.explain.ExplainRecorder`; when given, every query
@@ -53,8 +45,7 @@ def run_query_file(
     are identical with or without it.
     """
     method.register_query_workload(kind, queries)
-    cache = method.store.columnar
-    workload = cache.workload if cache is not None else None
+    workload = method.store.columnar.workload
     if explain is not None:
         explain.start_file(method, kind)
     # The per-query timing below exists only when telemetry is active:
@@ -67,10 +58,9 @@ def run_query_file(
     stats = method.store.stats
     try:
         for index, query in enumerate(queries):
-            if workload is not None:
-                workload.set_query(index)
-            # _measure, inlined: the per-query accounting runs tens of
-            # thousands of times per file and is common to both modes.
+            workload.set_query(index)
+            # AccessStats.total, inlined: the per-query accounting runs
+            # tens of thousands of times per file.
             before = (
                 stats.data_reads
                 + stats.data_writes

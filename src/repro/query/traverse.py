@@ -1,10 +1,8 @@
 """Batched level-at-a-time traversal (plan / replay).
 
-PR 4 vectorized the work *inside* a visited page but left the descent
-itself scalar: every directory page paid a Python helper call, side-cache
-probes and — below the workload promotion threshold — its own two-dispatch
-NumPy kernel.  At the paper's 512-byte pages those per-page costs dominate
-the query path.  This module batches the descent:
+A scalar descent pays a Python predicate call per entry of every page it
+visits; at the paper's 512-byte pages those per-page costs dominate the
+query path.  This module batches the descent:
 
 **Plan.**  A query walks the structure level by level over *uncharged*
 page views (:meth:`~repro.storage.pagestore.PageStore.peek`).  All cold
@@ -19,9 +17,12 @@ answered by the batched workload cache skip even that.
 identical visit order, identical :meth:`PageStore.read` calls — consuming
 the precomputed verdict rows instead of evaluating predicates per page.
 Because the replay issues the same charged accesses in the same order as
-the scalar path, the disk-access statistics, the search-path buffer state
-and the observer/explain event stream are bit-identical by construction,
-not merely by accounting.
+the scalar descent, the disk-access statistics, the search-path buffer
+state and the observer/explain event stream are bit-identical by
+construction, not merely by accounting.  The scalar descents live on as
+the verification reference (:mod:`repro.verify.reference`); the tests and
+``python -m repro.query.bench`` compare the two event streams access for
+access.
 
 Structures whose visited page set does not depend on page contents (the
 grid family, the z-ordered leaf scans) skip the plan phase entirely: they
@@ -31,9 +32,9 @@ results, one kernel.
 
 :class:`RowSource` is the shared primitive: it answers per-page verdict
 rows from the workload's batch cache when the page is hot, and otherwise
-defers the page into the current level's fused batch.  It shares the
-workload's promotion counters and per-query memo with the per-page scan
-helpers (:mod:`repro.query.scan`), so mixed call sites stay coherent.
+defers the page into the current level's fused batch.  Within one query
+it shares the workload's per-query memo, so revisits of a page (the
+z-ordered structures scan one leaf per z-interval) resolve once.
 """
 
 from __future__ import annotations
@@ -109,14 +110,14 @@ class RowSource:
     flush, ``rows[(pid, rowkey)]`` holds every row requested this level.
 
     Verdicts are bit-identical to the scalar predicates: hot pages answer
-    from the same ``(Q, n)`` masks the scan helpers build, cold pages ride
-    a concatenated single-comparison kernel over the same fused arrays.
+    from the workload's ``(Q, n)`` batch masks, cold pages ride a
+    concatenated single-comparison kernel over the same fused arrays.
     """
 
     __slots__ = ("workload", "qidx", "rows", "query", "_pend", "_pend_keys", "_qvecs")
 
     def __init__(self, cache, query: Rect):
-        workload = cache.workload if cache is not None else None
+        workload = cache.workload
         if workload is not None:
             cur = workload.current
             if cur is None or not (cur is query or cur == query):
@@ -124,8 +125,8 @@ class RowSource:
         self.workload = workload
         self.query = query
         #: Memoised rows of this operation; the workload's per-query memo
-        #: when a batch is registered, so per-page scan helpers and the
-        #: planner share within-query revisit answers.
+        #: when a batch is registered, so within-query revisits of a page
+        #: resolve once.
         self.rows: dict = workload._cur if workload is not None else {}
         # op -> (keys, arrays): pages deferred into the level batch.
         self._pend: dict[str, tuple[list, list]] = {}
@@ -221,21 +222,17 @@ class RowSource:
 
 def data_hit_rows(
     store, query: Rect, pages: Sequence[tuple[int, Sequence]]
-) -> "dict[int, list[int]] | None":
+) -> dict[int, list[int]]:
     """Ascending record-hit rows for a set of data pages, batch-evaluated.
 
     ``pages`` is ``[(pid, records), ...]`` with ``records`` a
     struct-of-arrays container of ``(point, rid)`` rows
     (:class:`~repro.storage.soa.SoAList`).  All pages the workload cache
-    cannot answer are evaluated in **one** fused kernel call.  Returns
-    ``None`` when the store has no columnar cache — callers then run their
-    scalar loops.  Reading the pages (and the charging order) is entirely
-    the caller's business, so access statistics cannot change.
+    cannot answer are evaluated in **one** fused kernel call.  Reading the
+    pages (and the charging order) is entirely the caller's business, so
+    access statistics cannot change.
     """
-    cache = store.columnar
-    if cache is None:
-        return None
-    src = RowSource(cache, query)
+    src = RowSource(store.columnar, query)
     row = src.row
     fused_points = soa.fused_points
     for pid, records in pages:

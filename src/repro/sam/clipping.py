@@ -125,7 +125,8 @@ class ClippingSAM(SpatialAccessMethod):
             self._tree.insert(self._key(bits), (rect, rid))
             self._region_entries += 1
 
-    #: Scalar fallbacks for the op tags of scan.select_rect_values.
+    #: Scalar predicates of the ancestor probes, by op tag (the leaf
+    #: scans evaluate the same predicates as fused kernels).
     _SCALAR_PRED = {
         "isect": lambda r, q: r.intersects(q),
         "within": lambda r, q: q.contains_rect(r),
@@ -145,24 +146,19 @@ class ClippingSAM(SpatialAccessMethod):
                 result.append(rid)
 
         store = self.store
-        vector = store.columnar is not None
-        src = traverse.RowSource(store.columnar, query) if vector else None
+        src = traverse.RowSource(store.columnar, query)
         rowkey = "vrects:" + op
         vtag, vbuild = traverse.value_view(op)
-        # With a columnar cache the pass below only *charges* the reads
-        # (in the original interleaved scan/probe order) and records an
-        # action log; evaluation of all cold pages happens in one fused
-        # kernel call afterwards, and the log replays the first-seen
-        # dedup in the scalar order.
+        # The pass below only *charges* the reads (in the original
+        # interleaved scan/probe order) and records an action log;
+        # evaluation of all cold pages happens in one fused kernel call
+        # afterwards, and the log replays the first-seen dedup in the
+        # scalar order.
         actions: list = []
         probed: set[Bits] = set()
         for bits in query_regions:
             lo, hi = z_interval(bits, self.dims, _Z_BITS)
             for pid, leaf, start, stop in self._tree.scan_pages((lo, 0), (hi, 0)):
-                if not vector:
-                    for rect, rid in leaf.values[start:stop]:
-                        offer(rect, rid)
-                    continue
                 values = leaf.values
                 if not values:
                     continue
@@ -175,13 +171,8 @@ class ClippingSAM(SpatialAccessMethod):
                     continue
                 probed.add(ancestor)
                 items = self._tree.lookup(self._key(ancestor))
-                if not vector:
-                    for rect, rid in items:
-                        offer(rect, rid)
-                elif items:
+                if items:
                     actions.append((None, items, 0, 0))
-        if not vector:
-            return result
         rows = src.flush()
         for pid, values, start, stop in actions:
             if pid is None:

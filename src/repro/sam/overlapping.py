@@ -80,27 +80,26 @@ class OverlappingPlop(SpatialAccessMethod):
             )
         self._grid.insert((rect, rid))
 
-    #: Scalar fallbacks for the op tags of scan.select_rect_values.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
-
-    def _scan_window(self, lo, hi, op: str, query: Rect) -> list[object]:
-        """Read every bucket whose cell meets ``[lo, hi]`` and filter."""
+    def _window_ranges(self, lo, hi) -> "list[range] | None":
+        """Per-axis slice ranges of the buckets meeting ``[lo, hi]``;
+        ``None`` when the window holds no bucket."""
         if any(l > h for l, h in zip(lo, hi)):
-            return []
+            return None
         ranges = [
             self._grid.index_range(axis, lo[axis], hi[axis])
             for axis in range(self.dims)
         ]
         if any(r.start >= r.stop for r in ranges):
+            return None
+        return ranges
+
+    def _scan_window(self, lo, hi, op: str, query: Rect) -> list[object]:
+        """Read every bucket whose cell meets ``[lo, hi]`` and filter."""
+        ranges = self._window_ranges(lo, hi)
+        if ranges is None:
             return []
         store = self.store
-        vector = store.columnar is not None
-        src = traverse.RowSource(store.columnar, query) if vector else None
-        predicate = self._SCALAR_PRED[op]
+        src = traverse.RowSource(store.columnar, query)
         rowkey = "vrects:" + op
         vtag, vbuild = traverse.value_view(op)
         occurrences: list = []
@@ -115,7 +114,7 @@ class OverlappingPlop(SpatialAccessMethod):
         # so after promotion nearly all pages answer from the workload's
         # CSR verdicts — probe those directly and only route cold pages
         # through the RowSource (verdicts are the same lists either way).
-        workload = src.workload if vector else None
+        workload = src.workload
         hot = workload._rows if workload is not None else None
         qi = workload.index if workload is not None else -1
         while True:
@@ -124,26 +123,19 @@ class OverlappingPlop(SpatialAccessMethod):
                 records = read(pid).records
                 if not records:
                     continue
-                if vector:
-                    if hot is not None:
-                        entry = hot.get((pid, rowkey))
-                        if entry is not None:
-                            starts, cols = entry
-                            s = starts[qi]
-                            e = starts[qi + 1]
-                            if e > s:
-                                occurrences.append(
-                                    (pid, records, cols[s:e].tolist())
-                                )
-                            continue
-                    # Read-then-batch: reads stay in the original order;
-                    # evaluation is deferred into one fused call below.
-                    src.row(pid, rowkey, op, records, vtag, vbuild)
-                    occurrences.append((pid, records, None))
-                else:
-                    for rect, rid in records:
-                        if predicate(rect, query):
-                            result.append(rid)
+                if hot is not None:
+                    entry = hot.get((pid, rowkey))
+                    if entry is not None:
+                        starts, cols = entry
+                        s = starts[qi]
+                        e = starts[qi + 1]
+                        if e > s:
+                            occurrences.append((pid, records, cols[s:e].tolist()))
+                        continue
+                # Read-then-batch: reads stay in the original order;
+                # evaluation is deferred into one fused call below.
+                src.row(pid, rowkey, op, records, vtag, vbuild)
+                occurrences.append((pid, records, None))
             axis = 0
             while axis < self.dims:
                 idx[axis] += 1
@@ -153,12 +145,11 @@ class OverlappingPlop(SpatialAccessMethod):
                 axis += 1
             if axis == self.dims:
                 break
-        if vector:
-            rows = src.flush()
-            for pid, records, row in occurrences:
-                if row is None:
-                    row = rows[(pid, rowkey)]
-                result.extend([records[i][1] for i in row])
+        rows = src.flush()
+        for pid, records, row in occurrences:
+            if row is None:
+                row = rows[(pid, rowkey)]
+            result.extend([records[i][1] for i in row])
         return result
 
     def _expanded(self, query: Rect) -> tuple[list[float], list[float]]:

@@ -345,17 +345,8 @@ class RTree(SpatialAccessMethod):
 
     # -- queries ---------------------------------------------------------------------
 
-    #: Scalar fallbacks for the op tags of scan.select_boxes.
-    _SCALAR_PRED = {
-        "isect": lambda r, q: r.intersects(q),
-        "within": lambda r, q: q.contains_rect(r),
-        "encl": lambda r, q: r.contains_rect(q),
-    }
-
     def _collect(self, inner_op: str, leaf_op: str, query: Rect) -> list[object]:
         store = self.store
-        if store.columnar is None:
-            return self._collect_scalar(inner_op, leaf_op, query)
         # Plan: level-at-a-time frontier expansion over uncharged page
         # views; every cold page of one level rides a single fused kernel
         # call (see repro.query.traverse).
@@ -427,7 +418,8 @@ class RTree(SpatialAccessMethod):
             level = nxt
         # Replay: the original descent order with real (charged) reads,
         # consuming the precomputed verdict rows — accesses, buffer state
-        # and observer events are those of the scalar path by construction.
+        # and observer events are those of the scalar descent
+        # (repro.verify.reference) by construction.
         result: list[object] = []
         read = store.read
         stack = [self._root_pid]
@@ -441,23 +433,6 @@ class RTree(SpatialAccessMethod):
                     result.extend([children[i] for i in row])
             else:
                 stack.extend(expansion[pid])
-        return result
-
-    def _collect_scalar(self, inner_op: str, leaf_op: str, query: Rect) -> list[object]:
-        """The original scalar descent (the ``REPRO_VECTOR=0`` kill switch)."""
-        result: list[object] = []
-        stack = [self._root_pid]
-        while stack:
-            pid = stack.pop()
-            node: _Node = self.store.read(pid)
-            op = leaf_op if node.is_leaf else inner_op
-            pred = self._SCALAR_PRED[op]
-            out = result if node.is_leaf else stack
-            out.extend(
-                child
-                for rect, child in zip(node.rects, node.children)
-                if pred(rect, query)
-            )
         return result
 
     def _point_query(self, point: tuple[float, ...]) -> list[object]:

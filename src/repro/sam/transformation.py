@@ -153,7 +153,8 @@ class TransformationSAM(SpatialAccessMethod):
             return list(self._max_extent)
         return [0.5] * self.dims
 
-    #: Scalar post-filters and their vectorized counterparts, by op tag.
+    #: Post-filters by op tag: scalar for tiny candidate sets, kernels
+    #: otherwise (same verdicts either way).
     _SCALAR_PRED = {
         "isect": lambda r, q: r.intersects(q),
         "within": lambda r, q: q.contains_rect(r),
@@ -170,7 +171,7 @@ class TransformationSAM(SpatialAccessMethod):
         if query_box is None:
             return []
         candidates = self.pam._range_query(query_box)
-        if self.store.columnar is None or len(candidates) < 2:
+        if len(candidates) < 2:
             predicate = self._SCALAR_PRED[op]
             return [
                 rid
@@ -180,7 +181,7 @@ class TransformationSAM(SpatialAccessMethod):
         # Vectorized post-filter: undo the transform on the whole candidate
         # set at once.  The center-representation arithmetic (c - e, c + e)
         # is the same float64 operation as _to_rect, so verdicts are
-        # bit-identical to the scalar path.
+        # bit-identical to the scalar predicates.
         d = self.dims
         pts = np.array([point for point, _ in candidates], dtype=float)
         if self.representation == "corner":

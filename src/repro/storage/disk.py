@@ -609,7 +609,6 @@ class DiskPageStore(PageStore):
         pool_pages: int = 128,
         slot_size: int | None = None,
         path_buffer_limit: int = 6,
-        vector: bool | None = None,
         io: IOProvider | None = None,
         fsync: bool = True,
         paranoid: bool = True,
@@ -617,7 +616,7 @@ class DiskPageStore(PageStore):
         wal_checkpoint_bytes: int = 64 << 20,
         telemetry=None,
     ):
-        super().__init__(page_size, path_buffer_limit, vector)
+        super().__init__(page_size, path_buffer_limit)
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.io = io if io is not None else OsFileIO()

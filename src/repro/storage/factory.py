@@ -73,7 +73,6 @@ def _store_base_dir(directory: str | Path | None) -> Path:
 def make_store(
     page_size: int = 512,
     *,
-    vector: bool | None = None,
     backend: str | None = None,
     directory: str | Path | None = None,
     pool_pages: int | None = None,
@@ -93,7 +92,7 @@ def make_store(
             raise ValueError(
                 "pool_pages/directory/disk options require backend='disk'"
             )
-        return PageStore(page_size, vector=vector)
+        return PageStore(page_size)
     from repro.storage.disk import DiskPageStore
 
     base = _store_base_dir(directory)
@@ -113,5 +112,5 @@ def make_store(
         if telemetry is not None:
             disk_kwargs["telemetry"] = telemetry
     return DiskPageStore(
-        path, page_size, pool_pages=pool_pages, vector=vector, **disk_kwargs
+        path, page_size, pool_pages=pool_pages, **disk_kwargs
     )

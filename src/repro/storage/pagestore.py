@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.stats import AccessStats
-from repro.query.columnar import ColumnarCache, vector_enabled
+from repro.query.columnar import ColumnarCache
 from repro.storage.page import PageKind
 
 __all__ = ["PageStore"]
@@ -56,7 +56,6 @@ class PageStore:
         self,
         page_size: int = 512,
         path_buffer_limit: int = 6,
-        vector: bool | None = None,
     ):
         self.page_size = page_size
         #: How many of the most recently accessed pages stay buffered
@@ -76,13 +75,9 @@ class PageStore:
         self._buffer_cur: dict[int, None] = {}
         self._written_this_op: set[int] = set()
         self._next_id = 0
-        #: Columnar cache backing the vectorized scan helpers
-        #: (:mod:`repro.query`).  ``None`` keeps every access method on
-        #: its original scalar loops; ``vector=None`` defers to the
-        #: ``REPRO_VECTOR`` environment variable (default on).
-        if vector is None:
-            vector = vector_enabled()
-        self.columnar = ColumnarCache() if vector else None
+        #: Batched query workload and promotion hints of the traversal
+        #: (:mod:`repro.query.columnar`).
+        self.columnar = ColumnarCache()
 
     # -- page lifecycle -------------------------------------------------
 
@@ -100,8 +95,7 @@ class PageStore:
 
     def free(self, pid: int) -> None:
         """Release a page (after a merge); freeing is not a disk access."""
-        if self.columnar is not None:
-            self.columnar.invalidate(pid)
+        self.columnar.invalidate(pid)
         del self._objects[pid]
         del self._kinds[pid]
         self._pinned.discard(pid)
@@ -220,10 +214,9 @@ class PageStore:
         once — a real system flushes each dirty page a single time.
         """
         # Invalidate before any charging decision: pinned and deduplicated
-        # writes still mean the page object changed, so its columnar arrays
+        # writes still mean the page object changed, so its batch verdicts
         # must never survive a write.
-        if self.columnar is not None:
-            self.columnar.invalidate(pid)
+        self.columnar.invalidate(pid)
         if pid in self._pinned:
             if self.observer is not None:
                 self.observer.on_access(

@@ -136,3 +136,24 @@ STANDARD_QUERIES = [
 
 #: Probe points for SAM point queries.
 STANDARD_POINTS = [(0.5, 0.5), (0.1, 0.9), (0.25, 0.25), (0.99, 0.01)]
+
+#: Zero-extent rectangles on T-BANG block boundaries.  Inserted in this
+#: order into the testbed's T-BANG (PageStore(512)), the last one,
+#: ``(1/2, 0)-(1/2, 0)``, sits on its page's root block while a nested
+#: sibling block ends exactly at x = 1/2 — the case where a closed-box
+#: reading of the nesting-coverage rule dropped it from the point query
+#: at ``(0.5, 0.0)``.
+BANG_BOUNDARY_RECTS = (
+    [Rect((0.0, 0.0), (0.0, 0.0))]
+    + [
+        Rect((0.0, 0.0), (0.0, y))
+        for y in (1 / 2, 1 / 4, 3 / 8, 5 / 16, 7 / 16, 9 / 32, 13 / 32,
+                  1 / 8, 3 / 16, 7 / 32, 1 / 16)
+    ]
+    + [
+        Rect((0.0, 0.0), (x, 0.0))
+        for x in (1 / 2, 3 / 4, 5 / 8, 7 / 8, 9 / 16, 13 / 16, 11 / 16,
+                  15 / 16, 25 / 32, 19 / 32, 27 / 32, 49 / 64, 37 / 64)
+    ]
+    + [Rect((0.5, 0.0), (0.5, 0.0))]
+)

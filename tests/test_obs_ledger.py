@@ -87,13 +87,15 @@ class TestFingerprint:
         assert fp["code"]  # the build cache's source hash
 
     def test_collect_carries_promotion_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_PROMOTE", raising=False)
         fp = collect_fingerprint(page_size=512, scale=10)
+        assert fp["vector"] == "1"
         assert fp["vector_promote"] == "default"
+        # The retired environment knobs no longer reach the fingerprint.
+        monkeypatch.setenv("REPRO_VECTOR", "0")
         monkeypatch.setenv("REPRO_VECTOR_PROMOTE", "9")
-        tuned = collect_fingerprint(page_size=512, scale=10)
-        assert tuned["vector_promote"] == "9"
-        # A tuned run must land in its own gating history.
+        assert collect_fingerprint(page_size=512, scale=10) == fp
+        # Ledger histories recorded under a tuned threshold stay apart.
+        tuned = {**fp, "vector_promote": "9"}
         assert fingerprint_digest(tuned) != fingerprint_digest(fp)
 
 

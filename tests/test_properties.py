@@ -5,11 +5,12 @@ set of distinct points (or rectangles) and any query, the structure
 returns exactly what a linear scan returns.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.testbed import standard_pam_factories, standard_sam_factories
 from repro.geometry.rect import Rect
 from repro.storage.pagestore import PageStore
+from tests.conftest import BANG_BOUNDARY_RECTS
 
 coordinate = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 point_sets = st.lists(
@@ -96,6 +97,7 @@ class TestSamProperties:
 
     @PAM_SETTINGS
     @given(rects=rect_sets(), x=coordinate, y=coordinate)
+    @example(rects=BANG_BOUNDARY_RECTS, x=0.5, y=0.0)
     def test_all_sams_point_query(self, rects, x, y):
         expected = sorted(
             i for i, r in enumerate(rects) if r.contains_point((x, y))

@@ -1,7 +1,7 @@
 """Hypothesis property tests: vectorized kernels equal the scalar oracle.
 
 Every kernel in :mod:`repro.geometry.kernels` — pairwise, batch, and the
-fused single-comparison forms the scan helpers actually use — must agree
+fused single-comparison forms the traversal actually uses — must agree
 with the corresponding :class:`~repro.geometry.rect.Rect` predicate on
 every (record, query) pair, including degenerate boxes and boxes that
 touch exactly on a boundary (the closed-interval edge cases where a
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.query.columnar import _QVEC_BUILDERS
-from repro.query.scan import _qvec_single
+from repro.query.traverse import qvec_for
 
 # A small shared pool of exact values makes coincident boundaries (touching
 # and degenerate boxes) common instead of measure-zero.
@@ -58,7 +58,7 @@ def _bounds(rects):
 
 
 #: op tag -> scalar oracle (stored rect first, query second), mirroring
-#: repro.query.scan._SCALAR_OPS.
+#: repro.verify.reference.PREDICATES.
 ORACLES = {
     "isect": lambda r, q: r.intersects(q),
     "within": lambda r, q: q.contains_rect(r),
@@ -165,7 +165,7 @@ class TestFusedKernels:
             fused = fused_by_family[family[op]]
             for q in queries:
                 expected = single_k(lo, hi, np.array(q.lo), np.array(q.hi))
-                got = kernels.fused_match(fused, _qvec_single(op, q))
+                got = kernels.fused_match(fused, qvec_for(op, q))
                 assert got.tolist() == expected.tolist(), op
 
     @KERNEL_SETTINGS
@@ -180,7 +180,7 @@ class TestFusedKernels:
             qvecs = _QVEC_BUILDERS[op](qlo, qhi)
             batch = kernels.fused_match_many(fused, qvecs)
             for i, q in enumerate(queries):
-                row = kernels.fused_match(fused, _qvec_single(op, q))
+                row = kernels.fused_match(fused, qvec_for(op, q))
                 assert batch[i].tolist() == row.tolist(), op
 
     def test_fused_qvec_builders_agree_with_single(self):
@@ -189,6 +189,6 @@ class TestFusedKernels:
         qhi = np.array([q.hi])
         for op in ("isect", "within", "encl"):
             batch_row = _QVEC_BUILDERS[op](qlo, qhi)[0]
-            assert batch_row.tolist() == _qvec_single(op, q).tolist(), op
+            assert batch_row.tolist() == qvec_for(op, q).tolist(), op
         pts_row = _QVEC_BUILDERS["pts"](qlo, qhi)[0]
         assert pts_row.tolist() == list(tuple(-c for c in q.lo) + q.hi)

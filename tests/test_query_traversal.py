@@ -5,28 +5,30 @@ equal results: the *frontier* it derives at every directory level — and
 therefore the full ordered stream of page accesses the replay issues —
 must equal the scalar descent's, access for access.  These tests pin
 that oracle across the whole fuzz matrix: every structure is built
-twice from identical data (``REPRO_VECTOR`` off and on), every query
-file runs through the batched driver in both modes, and the two
+twice from identical data, every query file runs through the batched
+driver once on the production path and once on the scalar reference
+descents (:func:`repro.verify.reference.as_reference`), and the two
 observer event streams (pid, kind, read/write, charged) are compared as
-ordered sequences.  A vector-mode traversal that visited one extra
-page, skipped one, or reordered two reads fails immediately.
+ordered sequences.  A production traversal that visited one extra page,
+skipped one, or reordered two reads fails immediately.
 
 A second pass forces the workload promotion threshold to 1 page visit
-(``REPRO_VECTOR_PROMOTE=1``), driving every page through the CSR batch
-verdicts and the cross-workload promotion hints on the very first
-query — the paths a cold default threshold would leave underexercised
-at these tiny scales.
+(patching :func:`repro.query.columnar.promote_visits_for`), driving
+every page through the CSR batch verdicts and the cross-workload
+promotion hints on the very first query — the paths a cold default
+threshold would leave underexercised at these tiny scales.
 """
 
-import os
+from unittest import mock
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.rect import Rect
+from repro.query import columnar
 from repro.query.driver import run_query_file
 from repro.storage.pagestore import PageStore
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
+from repro.verify.reference import as_reference
 
 coordinate = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
@@ -54,10 +56,16 @@ class _PidTrace:
         self.events.append((pid, str(kind), rw, charged))
 
 
-def _traced_pass(name, spec, data, queries, vector, page_size=512):
-    """Build one structure and run the query files under a pid trace."""
-    store = PageStore(page_size, vector=vector)
+def _traced_pass(name, spec, data, queries, reference, page_size=512):
+    """Build one structure and run the query files under a pid trace.
+
+    ``reference`` answers the queries through the scalar reference
+    descents instead of the production path.
+    """
+    store = PageStore(page_size)
     method = spec["factory"](store)
+    if reference:
+        method = as_reference(method)
     for rid, item in enumerate(data):
         method.insert(item, rid)
     trace = _PidTrace()
@@ -81,8 +89,8 @@ def _assert_frontier_identity(seed, scale, queries):
     rects = _rect_pool(scale, seed + 1)
     for name, spec in STRUCTURES.items():
         data = points if spec["kind"] == "pam" else rects
-        s_events, s_out, s_stats = _traced_pass(name, spec, data, queries, False)
-        v_events, v_out, v_stats = _traced_pass(name, spec, data, queries, True)
+        s_events, s_out, s_stats = _traced_pass(name, spec, data, queries, True)
+        v_events, v_out, v_stats = _traced_pass(name, spec, data, queries, False)
         assert v_out == s_out, f"{name}: outcomes diverge"
         assert v_stats == s_stats, f"{name}: store statistics diverge"
         if v_events != s_events:
@@ -90,7 +98,7 @@ def _assert_frontier_identity(seed, scale, queries):
             idx = next((i for i in range(n) if s_events[i] != v_events[i]), n)
             raise AssertionError(
                 f"{name}: access stream diverges at event {idx} "
-                f"(scalar {len(s_events)} events, vector {len(v_events)})"
+                f"(reference {len(s_events)} events, production {len(v_events)})"
             )
 
 
@@ -115,31 +123,12 @@ class TestFrontierOracle:
     )
     @given(seed=st.integers(0, 10**6), queries=query_rects())
     def test_frontier_identity_under_forced_promotion(self, seed, queries):
-        old = os.environ.get("REPRO_VECTOR_PROMOTE")
-        os.environ["REPRO_VECTOR_PROMOTE"] = "1"
-        try:
+        with mock.patch.object(columnar, "promote_visits_for", lambda q: 1):
+            assert columnar.QueryWorkload([None]).promote_visits == 1
             _assert_frontier_identity(seed, 60, queries)
-        finally:
-            if old is None:
-                del os.environ["REPRO_VECTOR_PROMOTE"]
-            else:
-                os.environ["REPRO_VECTOR_PROMOTE"] = old
 
 
 class TestWorkloadLifecycle:
-    def test_promotion_threshold_env_override(self, monkeypatch):
-        from repro.query.columnar import promote_visits_for
-
-        monkeypatch.delenv("REPRO_VECTOR_PROMOTE", raising=False)
-        assert promote_visits_for(160) == 20
-        assert promote_visits_for(8) == 4
-        monkeypatch.setenv("REPRO_VECTOR_PROMOTE", "7")
-        assert promote_visits_for(160) == 7
-        for bad in ("0", "-3", "many"):
-            monkeypatch.setenv("REPRO_VECTOR_PROMOTE", bad)
-            with pytest.raises(ValueError):
-                promote_visits_for(160)
-
     def test_hot_pid_hints_do_not_change_verdicts(self):
         """A pid hint only moves promotion earlier — never the answer."""
         from repro.query.columnar import ColumnarCache
@@ -151,7 +140,7 @@ class TestWorkloadLifecycle:
             Rect((0.0, 0.5), (0.4, 0.9)),
         ]
         spec = STRUCTURES["BANG"]
-        store = PageStore(512, vector=True)
+        store = PageStore(512)
         method = spec["factory"](store)
         for rid, p in enumerate(points):
             method.insert(p, rid)
@@ -172,5 +161,3 @@ class TestWorkloadLifecycle:
         cache._hot_pids.update({3, 5})
         cache.invalidate(3)
         assert cache._hot_pids == {5}
-        cache.clear()
-        assert not cache._hot_pids

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.geometry.rect import Rect
-from repro.geometry.regioncover import CoverSet, is_covered
+from repro.geometry.regioncover import CoverSet, cover_cuts, half_open_hi, is_covered
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -128,3 +128,40 @@ class TestCoverSet:
             Rect((0.1, 0.1), (0.9, 0.9)),
         ):
             assert cs.covers(target) == is_covered(target, covers)
+
+
+class TestHalfOpenHi:
+    """Blocks are half-open; ``half_open_hi`` lets the closed tests see it."""
+
+    COVERS = [Rect((0.25, 0.0), (0.5, 0.5))]
+
+    def test_exposed_upper_face_is_not_covered(self):
+        # The point (0.5, 0.0) lies on the cover's upper x-face: as a
+        # closed box the cover contains it, as a half-open block it does
+        # not — the point belongs to whatever block lies above x = 0.5.
+        cuts = cover_cuts(self.COVERS)
+        hi = half_open_hi((0.5, 0.0), (1.0, 1.0), cuts)
+        assert hi == (1.0, 0.5)
+        assert is_covered(Rect((0.5, 0.0), (0.5, 0.0)), self.COVERS)
+        assert not is_covered(Rect((0.5, 0.0), hi), self.COVERS)
+        assert not CoverSet(self.COVERS).covers_bounds(
+            (0.5, 0.0), CoverSet(self.COVERS).half_open_hi((0.5, 0.0), (1.0, 1.0))
+        )
+
+    def test_abutting_cover_above_keeps_coverage(self):
+        covers = self.COVERS + [Rect((0.5, 0.0), (0.75, 0.5))]
+        cs = CoverSet(covers)
+        hi = cs.half_open_hi((0.5, 0.25), (1.0, 1.0))
+        assert hi == (0.75, 0.25)
+        assert cs.covers_bounds((0.5, 0.25), hi)
+        assert is_covered(Rect((0.5, 0.25), hi), covers)
+
+    def test_coordinates_off_the_boundaries_stay(self):
+        cuts = cover_cuts(self.COVERS)
+        assert half_open_hi((0.3, 0.2), (1.0, 1.0), cuts) == (0.3, 0.2)
+
+    def test_enclosing_upper_corner_stays(self):
+        # At the enclosing block's own upper corner the closed verdict
+        # stands: points on that face are not in the enclosing block.
+        cuts = cover_cuts(self.COVERS)
+        assert half_open_hi((0.5, 0.5), (0.5, 0.5), cuts) == (0.5, 0.5)

@@ -10,6 +10,7 @@ from repro.storage.pagestore import PageStore
 from tests.conftest import (
     STANDARD_POINTS,
     STANDARD_QUERIES,
+    BANG_BOUNDARY_RECTS,
     check_sam_against_oracle,
     make_rects,
 )
@@ -99,3 +100,23 @@ class TestSeegerFinding:
             return total
 
         assert cost(corner) < cost(center)
+
+
+class TestNestingCoverageBoundary:
+    """T-BANG's nesting-coverage filter honours half-open block faces."""
+
+    def test_point_on_nested_upper_face_is_found(self):
+        from repro.core.testbed import standard_sam_factories
+        from repro.verify.reference import as_reference
+
+        sam = standard_sam_factories()["BANG"](PageStore(512))
+        for rid, rect in enumerate(BANG_BOUNDARY_RECTS):
+            sam.insert(rect, rid)
+        expected = [
+            rid
+            for rid, rect in enumerate(BANG_BOUNDARY_RECTS)
+            if rect.contains_point((0.5, 0.0))
+        ]
+        assert 25 in expected
+        assert sorted(sam.point_query((0.5, 0.0))) == expected
+        assert sorted(as_reference(sam).point_query((0.5, 0.0))) == expected
