@@ -121,8 +121,8 @@ def build_pam(
 ) -> PointAccessMethod:
     """Build a fresh PAM over its own page store and insert all points.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) is installed as the new
-    store's observer and labels the build's spans ``op="insert"``;
+    ``tracer`` (a :class:`repro.obs.Tracer`) subscribes to the new
+    store's event stream and labels the build's spans ``op="insert"``;
     tracing is passive, so the build is identical with or without it.
 
     ``audit=True`` runs the structure's invariant auditor
@@ -290,8 +290,8 @@ def run_pam_experiment(
     ``explain`` writes one :mod:`repro.obs.explain` trace file per
     structure (``PAM-<name>.json``) into the resolved directory;
     ``None`` defers to ``REPRO_EXPLAIN`` (see :func:`_explain_dir`).
-    Tracing chains the store observer, so costs are bit-identical with
-    or without it.  With ``workers > 1``, workers resolve
+    The recorder subscribes to the store's event stream, so costs are
+    bit-identical with or without it.  With ``workers > 1``, workers resolve
     ``REPRO_EXPLAIN`` themselves; structures replayed from a warm build
     cache skip execution and therefore write no trace.
     """

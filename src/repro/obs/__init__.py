@@ -3,9 +3,9 @@
 The paper's entire argument rests on *counting page accesses*, so this
 package makes those counts observable at every granularity:
 
-* :mod:`repro.obs.tracer` — a low-overhead :class:`Tracer` that attaches
-  to a :class:`~repro.storage.pagestore.PageStore` as its observer and
-  records one :class:`Span` per bracketed operation (insert / delete /
+* :mod:`repro.obs.tracer` — a low-overhead :class:`Tracer` that
+  subscribes to a :class:`~repro.storage.pagestore.PageStore`'s event
+  stream and records one :class:`Span` per bracketed operation (insert / delete /
   query), optionally down to individual page-access events.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   fixed-bucket histograms with exact percentile summaries
@@ -35,7 +35,7 @@ package makes those counts observable at every granularity:
   first-class redundancy metrics (duplication factor, overlap volume,
   dead space, coverage).
 
-Tracing is strictly additive: the observer hook never changes which
+Tracing is strictly additive: the store's event stream never changes which
 accesses are charged, so an instrumented run reports exactly the same
 :class:`~repro.core.stats.AccessStats` as an uninstrumented one.
 """
@@ -63,10 +63,10 @@ from repro.obs.tracer import (
     BUILD_OPS,
     AccessEvent,
     Span,
-    StoreObserver,
     Tracer,
     phase_of,
 )
+from repro.storage.pagestore import StoreSubscriber
 
 __all__ = [
     "AccessEvent",
@@ -89,7 +89,7 @@ __all__ = [
     "RunReport",
     "SNAPSHOT_SCHEMA",
     "Span",
-    "StoreObserver",
+    "StoreSubscriber",
     "Timer",
     "Tracer",
     "apportion",

@@ -7,8 +7,8 @@ directory children pruned at each visited page, and the duplicate
 results eliminated by a redundant scheme (clipping, R+) on the way out.
 
 Recording is opt-in and strictly additive.  An :class:`ExplainRecorder`
-chains the store's existing observer (usually the
-:class:`~repro.obs.tracer.Tracer`), so it sees the *identical* event
+subscribes to the store's event stream for one query file, beside any
+:class:`~repro.obs.tracer.Tracer`, so it sees the *identical* event
 stream that feeds :class:`~repro.core.stats.AccessStats` — the charged
 events of a query's trace therefore sum bit-identically to the measured
 cost of that query, and :meth:`ExplainRecorder.end_file` asserts it.
@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 from repro.core.stats import AccessStats
 from repro.geometry.rect import Rect
 from repro.storage.page import PageKind
+from repro.storage.pagestore import StoreSubscriber
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.pagestore import PageStore
@@ -86,43 +87,6 @@ class _QueryRecord:
     events: list[_Event]
     cost: int
     result_count: int
-
-
-class _Collector:
-    """Chained :class:`~repro.obs.tracer.StoreObserver` feeding a recorder.
-
-    Delegates both callbacks to the observer it replaced (so a tracer
-    keeps its spans) and accumulates a flat event list with operation
-    boundaries.  Observation never changes charging decisions.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.events: list[_Event] = []
-
-    def on_operation_begin(self, store: "PageStore") -> None:
-        if self.inner is not None:
-            self.inner.on_operation_begin(store)
-
-    def on_access(
-        self,
-        store: "PageStore",
-        pid: int,
-        kind: PageKind,
-        rw: str,
-        charged: bool,
-        reason: str,
-    ) -> None:
-        if self.inner is not None:
-            self.inner.on_access(store, pid, kind, rw, charged, reason)
-        self.events.append(
-            _Event(pid, "data" if kind is PageKind.DATA else "dir", rw, charged)
-        )
-
-    def drain(self) -> list[_Event]:
-        out = self.events
-        self.events = []
-        return out
 
 
 def data_page_entries(obj) -> list | None:
@@ -183,54 +147,70 @@ def _query_json(kind: str, query) -> object:
     return {"lo": list(query.lo), "hi": list(query.hi)}
 
 
-class ExplainRecorder:
+class ExplainRecorder(StoreSubscriber):
     """Collects explain traces for one structure across its query files.
 
     Pass an instance as ``explain=`` to
     :func:`repro.query.driver.run_query_file` (the comparison drivers
-    thread it through).  After the run, :meth:`to_trace` returns the
-    versioned trace document and :meth:`save` writes it as JSON.
+    thread it through).  The recorder subscribes to the method's store
+    for the duration of each file and unsubscribes at its end.  After
+    the run, :meth:`to_trace` returns the versioned trace document and
+    :meth:`save` writes it as JSON.
     """
 
     def __init__(self, structure: str):
         self.structure = structure
         self.files: list[dict] = []
         self.label: str | None = None
-        self._collector: _Collector | None = None
         self._store = None
         self._method = None
         self._kind = ""
+        self._events: list[_Event] = []
         self._records: list[_QueryRecord] = []
+
+    # -- the store's event stream -------------------------------------------
+
+    def on_access(
+        self,
+        store: "PageStore",
+        pid: int,
+        kind: PageKind,
+        rw: str,
+        charged: bool,
+        reason: str,
+    ) -> None:
+        self._events.append(
+            _Event(pid, "data" if kind is PageKind.DATA else "dir", rw, charged)
+        )
 
     # -- driver hooks (called by run_query_file) --------------------------
 
     def start_file(self, method, kind: str) -> None:
-        if self._collector is not None:
+        if self._store is not None:
             raise RuntimeError("explain recorder already attached")
         self._method = method
         self._kind = kind
+        self._events = []
         self._records = []
         self._store = method.store
-        self._collector = _Collector(method.store.observer)
-        method.store.observer = self._collector
+        method.store.subscribe(self)
 
     def finish_query(self, index: int, query, cost: int, result) -> None:
-        assert self._collector is not None
+        assert self._store is not None
         try:
             result_count = len(result)
         except TypeError:
             result_count = 0
-        self._records.append(
-            _QueryRecord(index, query, self._collector.drain(), cost, result_count)
-        )
+        events, self._events = self._events, []
+        self._records.append(_QueryRecord(index, query, events, cost, result_count))
 
     def end_file(self) -> None:
-        """Detach and finalise this file's traces against the page graph."""
-        assert self._collector is not None and self._store is not None
-        self._store.observer = self._collector.inner
+        """Unsubscribe and finalise this file's traces against the page graph."""
+        assert self._store is not None
+        self._store.unsubscribe(self)
         method, kind = self._method, self._kind
         records = self._records
-        self._collector = None
+        self._events = []
         self._store = None
         self._method = None
         self._records = []

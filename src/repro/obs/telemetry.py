@@ -12,9 +12,11 @@ observatory:
   :class:`~repro.obs.metrics.Histogram`\\ s (buckets tuned for
   microsecond-to-second timings), monotone counters and *callback
   gauges* (pool residency, dirty/pinned counts, WAL bytes) that cost
-  nothing until read.  Enabled by ``REPRO_TELEMETRY=1``; when disabled,
-  no instrumentation is installed anywhere and the hot paths are
-  untouched.  Telemetry is strictly additive: charged
+  nothing until read.  A plain subscriber of the stores' timed-operation
+  and physical-IO events.  Enabled by ``REPRO_TELEMETRY=1``, which
+  makes :func:`~repro.storage.factory.make_store` subscribe it to every
+  store; when disabled, nothing subscribes and the hot paths never read
+  the clock.  Telemetry is strictly additive: charged
   :class:`~repro.core.stats.AccessStats`, query results, explain traces
   and structure snapshots are bit-identical with it on or off.
 * :class:`FlightRecorder` — a daemon thread sampling every registered
@@ -52,6 +54,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.storage.pagestore import StoreSubscriber
 
 __all__ = [
     "SLOW_OP_SCHEMA",
@@ -137,16 +140,23 @@ def summarise_histogram(hist: Histogram) -> dict:
     }
 
 
-class Telemetry:
+_TIMED_METRICS = {
+    "commit": "storage.commit_seconds",
+    "checkpoint": "storage.checkpoint_seconds",
+    "eviction": "storage.pool.eviction_seconds",
+    "wal_append": "storage.wal.append_seconds",
+    "query": "query.latency_seconds",
+}
+_SLOW_OP_KINDS = frozenset({"commit", "checkpoint", "query"})
+
+
+class Telemetry(StoreSubscriber):
     """The live metrics substrate: histograms, counters, gauges, slow ops.
 
-    One instance is typically process-wide (:func:`active_telemetry`);
-    every durable store registers itself so the pool/WAL gauges
-    aggregate across all live stores, and every instrumented IO call
-    lands in the shared latency histograms.  All observation methods
-    are cheap enough for hot paths *when reached*, but the design rule
-    is stronger: callers hold ``telemetry is None`` guards, so a
-    disabled run never even branches into this module.
+    One instance is typically process-wide (:func:`active_telemetry`)
+    and subscribed to many stores: every IO call lands in the shared
+    latency histograms, and a durable store joins the pool/WAL gauges
+    (which sum across live stores) with its first physical IO.
     """
 
     def __init__(
@@ -167,6 +177,30 @@ class Telemetry:
         self._stores: "weakref.WeakSet" = weakref.WeakSet()
         self._store_gauges_registered = False
         self._lock = threading.Lock()
+        #: IO op -> running ``(count, total seconds)``.
+        self._io_totals: dict[str, tuple[int, float]] = {}
+
+    # -- the store's event stream ---------------------------------------------
+
+    def on_timed(self, store, op, seconds, pages=None, io=None, detail=None) -> None:
+        self.observe(_TIMED_METRICS[op], seconds)
+        if op in _SLOW_OP_KINDS:
+            self.maybe_slow_op(op, seconds, pages=pages, io=io, detail=detail)
+
+    def on_io(self, store, op: str, seconds: float, nbytes: int) -> None:
+        if store not in self._stores:
+            self.register_store(store)
+        self.observe_io(op, seconds, nbytes)
+
+    def io_stats_fields(self, store) -> dict:
+        return {
+            "latency": {
+                name: summary
+                for name, summary in self.latency_summaries().items()
+                if name.startswith("storage.")
+            },
+            "slow_ops": len(self.slow_ops),
+        }
 
     # -- observation --------------------------------------------------------
 
@@ -186,27 +220,19 @@ class Telemetry:
         self.registry.histogram(name, LATENCY_BUCKETS_SECONDS).observe(seconds)
 
     def observe_io(self, op: str, seconds: float, nbytes: int) -> None:
-        """The :class:`repro.storage.io.InstrumentedIO` sink."""
+        """Record one physical IO call of ``nbytes`` bytes."""
         self.registry.histogram(
             f"storage.io.{op}_seconds", LATENCY_BUCKETS_SECONDS
         ).observe(seconds)
         if nbytes:
             self.registry.counter(f"storage.io.{op}_bytes").inc(nbytes)
+        count, total = self._io_totals.get(op, (0, 0.0))
+        self._io_totals[op] = (count + 1, total + seconds)
 
     def io_counts(self) -> dict[str, tuple[int, float]]:
-        """Per-op ``(count, total seconds)`` of the IO-latency
-        histograms — cheap to snapshot before and after an operation,
-        so the delta is that operation's physical-IO breakdown."""
-        out: dict[str, tuple[int, float]] = {}
-        prefix, suffix = "storage.io.", "_seconds"
-        for name, hist in self.registry.histograms().items():
-            if name.startswith(prefix) and name.endswith(suffix):
-                samples = list(hist._samples)
-                out[name[len(prefix):-len(suffix)]] = (
-                    len(samples),
-                    sum(samples),
-                )
-        return out
+        """Per-op ``(count, total seconds)`` of every IO call observed,
+        kept as running totals, so a snapshot costs O(ops)."""
+        return dict(self._io_totals)
 
     class _Span:
         __slots__ = ("telemetry", "name", "seconds", "_start")

@@ -1,7 +1,8 @@
 """Operation-scoped tracing of page accesses.
 
-A :class:`Tracer` implements the :class:`~repro.storage.pagestore.PageStore`
-observer protocol (:class:`StoreObserver`): the store calls
+A :class:`Tracer` subscribes to a
+:class:`~repro.storage.pagestore.PageStore`'s event stream
+(:class:`~repro.storage.pagestore.StoreSubscriber`): the store calls
 ``on_operation_begin`` whenever an access method brackets a new
 insert/delete/query, and ``on_access`` for *every* page touch — charged
 or free (pinned, path-buffered, write-deduplicated).  The tracer rolls
@@ -18,10 +19,11 @@ same :class:`~repro.core.stats.AccessStats` as an untraced one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro.core.stats import AccessStats
 from repro.storage.page import PageKind
+from repro.storage.pagestore import StoreSubscriber
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.storage.pagestore import PageStore
@@ -30,7 +32,6 @@ __all__ = [
     "AccessEvent",
     "BUILD_OPS",
     "Span",
-    "StoreObserver",
     "Tracer",
     "phase_of",
 ]
@@ -132,23 +133,7 @@ class Span:
         return out
 
 
-class StoreObserver(Protocol):
-    """What a :class:`~repro.storage.pagestore.PageStore` observer provides."""
-
-    def on_operation_begin(self, store: "PageStore") -> None: ...
-
-    def on_access(
-        self,
-        store: "PageStore",
-        pid: int,
-        kind: PageKind,
-        rw: str,
-        charged: bool,
-        reason: str,
-    ) -> None: ...
-
-
-class Tracer:
+class Tracer(StoreSubscriber):
     """Collect one :class:`Span` per store operation.
 
     Parameters
@@ -189,11 +174,11 @@ class Tracer:
         return self
 
     def attach(self, store: "PageStore") -> "Tracer":
-        """Install this tracer as ``store``'s observer and return it."""
-        store.observer = self
+        """Subscribe this tracer to ``store``'s events and return it."""
+        store.subscribe(self)
         return self
 
-    # -- StoreObserver protocol --------------------------------------------
+    # -- StoreSubscriber events ----------------------------------------------
 
     def on_operation_begin(self, store: "PageStore") -> None:
         self._close()

@@ -62,6 +62,14 @@ class _GridLayer:
         # box or a scale boundary; rebuilt lazily by payloads_in_rect.
         self._bounds: tuple[list[object], np.ndarray, np.ndarray] | None = None
 
+    def __getstate__(self) -> dict:
+        # The bounds snapshot is a query-side cache, not page content:
+        # keep it out of page images, so a range query leaves the page's
+        # serialised image (and its CRC) unchanged.
+        state = self.__dict__.copy()
+        state["_bounds"] = None
+        return state
+
     # -- geometry ---------------------------------------------------------
 
     def ncells(self, axis: int) -> int:

@@ -41,21 +41,22 @@ def run_query_file(
     ``explain`` is an optional
     :class:`~repro.obs.explain.ExplainRecorder`; when given, every query
     of the file is traced (visited pages, candidates/hits, prunes).
-    Tracing chains the store's observer, so measured costs and results
-    are identical with or without it.
+    The recorder subscribes to the store's event stream, so measured
+    costs and results are identical with or without it.
+
+    Each query's wall time is published to the store's subscribers as a
+    ``query`` timed event; with no one listening for timed events the
+    loop never reads the clock, and the timing never feeds back into
+    the charged cost accounting.
     """
     method.register_query_workload(kind, queries)
-    workload = method.store.columnar.workload
+    store = method.store
+    workload = store.columnar.workload
     if explain is not None:
         explain.start_file(method, kind)
-    # The per-query timing below exists only when telemetry is active:
-    # the disabled path keeps the loop free of perf_counter calls, and
-    # the timing never feeds back into the charged cost accounting.
-    from repro.obs.telemetry import active_telemetry
-
-    telem = active_telemetry()
+    timed = bool(store._on_timed)
     out: list[tuple[int, Any]] = []
-    stats = method.store.stats
+    stats = store.stats
     try:
         for index, query in enumerate(queries):
             workload.set_query(index)
@@ -67,7 +68,7 @@ def run_query_file(
                 + stats.dir_reads
                 + stats.dir_writes
             )
-            if telem is not None:
+            if timed:
                 started = time.perf_counter()
             result = operation(query)
             cost = (
@@ -77,12 +78,10 @@ def run_query_file(
                 + stats.dir_writes
                 - before
             )
-            if telem is not None:
-                seconds = time.perf_counter() - started
-                telem.observe("query.latency_seconds", seconds)
-                telem.maybe_slow_op(
+            if timed:
+                store.publish_timed(
                     "query",
-                    seconds,
+                    time.perf_counter() - started,
                     detail={"kind": kind, "index": index, "cost": cost},
                 )
             out.append((cost, result))

@@ -18,7 +18,7 @@ identical visit order, identical :meth:`PageStore.read` calls — consuming
 the precomputed verdict rows instead of evaluating predicates per page.
 Because the replay issues the same charged accesses in the same order as
 the scalar descent, the disk-access statistics, the search-path buffer
-state and the observer/explain event stream are bit-identical by
+state and the store's event stream (tracer, explain) are bit-identical by
 construction, not merely by accounting.  The scalar descents live on as
 the verification reference (:mod:`repro.verify.reference`); the tests and
 ``python -m repro.query.bench`` compare the two event streams access for

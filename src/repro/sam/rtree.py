@@ -418,7 +418,7 @@ class RTree(SpatialAccessMethod):
             level = nxt
         # Replay: the original descent order with real (charged) reads,
         # consuming the precomputed verdict rows — accesses, buffer state
-        # and observer events are those of the scalar descent
+        # and store events are those of the scalar descent
         # (repro.verify.reference) by construction.
         result: list[object] = []
         read = store.read

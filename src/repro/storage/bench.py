@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.telemetry import FlightRecorder, Telemetry, set_telemetry
 
         telem = Telemetry(label="storage-bench")
-        set_telemetry(telem)  # make_store attaches it to every disk store
+        set_telemetry(telem)  # make_store subscribes it to every store
         timeline_path = (
             Path(args.timeline)
             if args.timeline

@@ -9,7 +9,7 @@ as do the access methods' uncharged fast paths — and this subclass
 swaps that dict for a :class:`BufferPool`, a bounded dict-like whose
 ``__getitem__`` faults pages in from disk.  None of the inherited
 charging logic (pinned pages, the search-path buffer, write
-deduplication, observer events) is touched, so whether an access is
+deduplication, access events) is touched, so whether an access is
 *charged* never depends on whether it was *physical*.
 
 On disk a store is a directory of three files:
@@ -42,6 +42,13 @@ redo is idempotent), truncates any torn or uncommitted tail, restores
 the allocation cursor and pinned set from the last commit record and
 ends with a checkpoint, so a recovered store is indistinguishable from
 one that shut down cleanly at its last commit boundary.
+
+The store adds two kinds of events to the inherited stream (see
+:class:`~repro.storage.pagestore.StoreSubscriber`): timed ``commit``,
+``checkpoint``, ``eviction`` and ``wal_append`` operations, and every
+physical ``pread``/``pwrite``/``fsync``/``replace``.  Both are published
+only while a subscriber listens for them; otherwise the store neither
+reads the clock nor wraps its IO.
 
 Two safety nets guard the one behaviour a real buffer manager adds over
 the simulated store — page objects can *leave* memory:
@@ -302,8 +309,8 @@ class BufferPool:
       the next operation bracket — the simulated store's read-mutate-
       write-within-an-op contract survives unchanged;
     * every candidate is re-serialised and CRC-checked against its
-      committed image (``paranoid`` mode, on by default): a page that
-      was silently mutated is re-classified dirty instead of evicted;
+      committed image: a page that was silently mutated is
+      re-classified dirty instead of evicted;
     * if no frame at all is evictable the pool overflows (grows past
       its budget) rather than corrupt anything, and counts it — the
       budget bounds steady-state residency, a single operation's
@@ -316,7 +323,6 @@ class BufferPool:
         pagefile: PageFile,
         budget: int,
         *,
-        paranoid: bool = True,
         poison: bool = False,
     ):
         if budget < 4:
@@ -324,7 +330,6 @@ class BufferPool:
         self.store = store
         self.pagefile = pagefile
         self.budget = budget
-        self.paranoid = paranoid
         self.poison = poison
         self.frames: dict[int, _Frame] = {}
         self.pages: dict[int, _PageMeta] = {}
@@ -493,40 +498,33 @@ class BufferPool:
         return False
 
     def _evict(self, pid: int, frame: _Frame) -> bool:
-        telem = self.store._telemetry
-        if telem is None:
-            return self._evict_inner(pid, frame)
-        start = time.perf_counter()
-        evicted = self._evict_inner(pid, frame)
-        if evicted:
-            telem.observe(
-                "storage.pool.eviction_seconds", time.perf_counter() - start
-            )
-        return evicted
-
-    def _evict_inner(self, pid: int, frame: _Frame) -> bool:
         """Write back (if needed) and drop one clean frame.
 
         Returns ``False`` — and re-classifies the page dirty — when the
         serialise-and-check pass finds the object drifted from its
         committed image (a mutation the store was never told about).
+        A completed eviction is published as a timed ``eviction`` event.
         """
+        store = self.store
+        timed = store._on_timed
+        if timed:
+            start = time.perf_counter()
         meta = self.pages[pid]
-        payload = None
-        if self.paranoid or not meta.on_disk:
-            payload = _dumps(frame.obj)
-            if zlib.crc32(payload) != meta.crc or len(payload) != meta.length:
-                self.silent_dirty += 1
-                self.mark_dirty(pid)
-                return False
+        payload = _dumps(frame.obj)
+        if zlib.crc32(payload) != meta.crc or len(payload) != meta.length:
+            self.silent_dirty += 1
+            self.mark_dirty(pid)
+            return False
         if not meta.on_disk:
-            self.pagefile.write_slot(pid, self.store._kinds[pid], payload)
+            self.pagefile.write_slot(pid, store._kinds[pid], payload)
             meta.on_disk = True
         if self.poison:
             poison_page(frame.obj)
         del self.frames[pid]
         self.dirty.discard(pid)
         self.evictions += 1
+        if timed:
+            store.publish_timed("eviction", time.perf_counter() - start)
         return True
 
     def flush_to_slots(self) -> None:
@@ -566,6 +564,34 @@ class BufferPool:
 # -- the durable store -------------------------------------------------------
 
 
+class _TimedOp:
+    """Publish-if-subscribed timing of one commit or checkpoint: its wall
+    time plus the WAL records and physical IO beneath it."""
+
+    __slots__ = ("store", "wal", "io", "start")
+
+    def __init__(self, store: "DiskPageStore"):
+        self.store = store
+        self.wal = store._wal.stats()
+        self.io = dict(store._io_totals)
+        self.start = time.perf_counter()
+
+    def publish(self, op: str, pages: list[int]) -> None:
+        seconds = time.perf_counter() - self.start
+        store = self.store
+        wal = store._wal.stats()
+        io = {
+            "wal_records": wal["records"] - self.wal["records"],
+            "wal_bytes": wal["bytes"] - self.wal["bytes"],
+        }
+        for name, (count, total) in store._io_totals.items():
+            before_count, before_total = self.io.get(name, (0, 0.0))
+            if count > before_count:
+                io[f"{name}s"] = count - before_count
+                io[f"{name}_seconds"] = total - before_total
+        store.publish_timed(op, seconds, pages=pages, io=io)
+
+
 class DiskPageStore(PageStore):
     """A :class:`PageStore` whose pages live in a real file behind a pool.
 
@@ -586,19 +612,16 @@ class DiskPageStore(PageStore):
     fsync:
         Whether commits fsync the WAL.  Keep ``True`` wherever
         durability is the point; benches may trade it away.
-    paranoid / poison:
-        Buffer-pool safety nets, see :class:`BufferPool`.
+    poison:
+        Buffer-pool safety net, see :class:`BufferPool`.
     wal_checkpoint_bytes:
         Auto-checkpoint once the WAL grows past this size.
-    telemetry:
-        A :class:`repro.obs.telemetry.Telemetry` (duck-typed — this
-        module never imports :mod:`repro.obs`).  When set, the IO
-        provider is wrapped in :class:`~repro.storage.io.InstrumentedIO`
-        so every pread/pwrite/fsync lands in a latency histogram,
-        commits/checkpoints/evictions are timed, the store's pool and
-        WAL state is exposed as gauges, and slow operations are logged.
-        Telemetry is strictly additive: charged access statistics and
-        query results are bit-identical with it on or off.
+
+    Telemetry (:class:`repro.obs.telemetry.Telemetry`) is a subscriber
+    like any other: ``store.subscribe(telemetry)`` times every physical
+    IO call, commit, checkpoint, eviction and WAL append from then on.
+    It is strictly additive: charged access statistics and query
+    results are bit-identical with it on or off.
     """
 
     def __init__(
@@ -611,18 +634,17 @@ class DiskPageStore(PageStore):
         path_buffer_limit: int = 6,
         io: IOProvider | None = None,
         fsync: bool = True,
-        paranoid: bool = True,
         poison: bool = False,
         wal_checkpoint_bytes: int = 64 << 20,
-        telemetry=None,
     ):
         super().__init__(page_size, path_buffer_limit)
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.io = io if io is not None else OsFileIO()
-        self._telemetry = telemetry
-        if telemetry is not None:
-            self.io = InstrumentedIO(self.io, telemetry)
+        #: The IO provider; an :class:`InstrumentedIO` around
+        #: ``self._base_io`` while a subscriber listens for IO events.
+        self.io = self._base_io = io if io is not None else OsFileIO()
+        #: Running per-op ``(count, seconds)`` of the IO events published.
+        self._io_totals: dict[str, tuple[int, float]] = {}
         self.fsync_on_commit = fsync
         self.wal_checkpoint_bytes = wal_checkpoint_bytes
         self.commits = 0
@@ -635,7 +657,6 @@ class DiskPageStore(PageStore):
         self._pin_dirty = False
         self._closed = False
         self._in_checkpoint = False
-        self._last_commit_pages: list[int] = []
 
         # The sidecar is the store's existence ground truth: it lands
         # (atomically) only after the page file and WAL headers are
@@ -655,9 +676,7 @@ class DiskPageStore(PageStore):
                 f"{self._pagefile.page_size}, not {page_size}"
             )
         self._wal = WriteAheadLog(self.path / "wal.log", self.io)
-        pool = BufferPool(
-            self, self._pagefile, pool_pages, paranoid=paranoid, poison=poison
-        )
+        pool = BufferPool(self, self._pagefile, pool_pages, poison=poison)
         self._objects = pool  # type: ignore[assignment]  (dict-like)
         if had_meta:
             self._recover()
@@ -665,8 +684,6 @@ class DiskPageStore(PageStore):
             if self._wal.size > len(WAL_MAGIC) + 4:
                 self._wal.reset()  # debris from a crashed creation
             self._write_sidecar()
-        if telemetry is not None:
-            telemetry.register_store(self)
 
     # -- paths -------------------------------------------------------------
 
@@ -716,52 +733,32 @@ class DiskPageStore(PageStore):
         super().begin_operation()
         self.pool.begin_op()
 
+    # -- the event stream ----------------------------------------------------
+
+    def _rewire(self) -> None:
+        """Also time the IO while anyone listens for IO events: swap the
+        provider and the open page-file and WAL handles for instrumented
+        ones, and back when the last IO subscriber leaves."""
+        super()._rewire()
+        base = self._base_io
+        if self._on_io and self.io is base:
+            self.io = InstrumentedIO(base, self._publish_io)
+            self._pagefile._fh = self.io.wrap(self._pagefile._fh)
+            self._wal._fh = self.io.wrap(self._wal._fh)
+        elif not self._on_io and self.io is not base:
+            self.io = base
+            self._pagefile._fh = self._pagefile._fh._inner
+            self._wal._fh = self._wal._fh._inner
+
+    def _publish_io(self, op: str, seconds: float, nbytes: int) -> None:
+        count, total = self._io_totals.get(op, (0, 0.0))
+        self._io_totals[op] = (count + 1, total + seconds)
+        for hook in self._on_io:
+            hook(self, op, seconds, nbytes)
+
     # -- durability ---------------------------------------------------------
 
-    def _wal_append(self, *args) -> None:
-        telem = self._telemetry
-        if telem is None:
-            self._wal.append(*args)
-            return
-        start = time.perf_counter()
-        self._wal.append(*args)
-        telem.observe("storage.wal.append_seconds", time.perf_counter() - start)
-
-    def _io_breakdown(self, wal_before: dict, io_before: dict) -> dict:
-        """What physically happened during an operation span: the delta
-        of the WAL counters and of every IO-latency histogram."""
-        wal_now = self._wal.stats()
-        out = {
-            "wal_records": wal_now["records"] - wal_before["records"],
-            "wal_bytes": wal_now["bytes"] - wal_before["bytes"],
-        }
-        for op, (count, seconds) in self._telemetry.io_counts().items():
-            before_count, before_seconds = io_before.get(op, (0, 0.0))
-            if count > before_count:
-                out[f"{op}s"] = count - before_count
-                out[f"{op}_seconds"] = seconds - before_seconds
-        return out
-
     def commit(self, meta: Any | None = None) -> bool:
-        telem = self._telemetry
-        if telem is None:
-            return self._commit_inner(meta)
-        wal_before = self._wal.stats()
-        io_before = telem.io_counts()
-        start = time.perf_counter()
-        committed = self._commit_inner(meta)
-        if committed:
-            seconds = time.perf_counter() - start
-            telem.observe("storage.commit_seconds", seconds)
-            telem.maybe_slow_op(
-                "commit",
-                seconds,
-                pages=self._last_commit_pages,
-                io=self._io_breakdown(wal_before, io_before),
-            )
-        return committed
-
-    def _commit_inner(self, meta: Any | None = None) -> bool:
         """Make everything since the last commit durable; returns whether
         a commit record was written (no-change commits are free).
 
@@ -772,6 +769,7 @@ class DiskPageStore(PageStore):
         pool = self.pool
         if not (pool.dirty or pool.freed or self._pin_dirty or meta is not None):
             return False
+        timed = _TimedOp(self) if self._on_timed else None
         payloads: dict[int, bytes] = {}
         # Silent-mutation scan: any page handed out since the last commit
         # may have been mutated without a write(); re-serialise the clean
@@ -791,7 +789,8 @@ class DiskPageStore(PageStore):
                 pool.silent_dirty += 1
                 pool.mark_dirty(pid)
                 payloads[pid] = payload
-        self._last_commit_pages = sorted(pool.dirty | pool.freed)
+        pages = sorted(pool.dirty | pool.freed) if timed is not None else None
+        records: list[tuple] = []
         for pid in sorted(pool.dirty):
             payload = payloads.get(pid)
             if payload is None:
@@ -804,18 +803,23 @@ class DiskPageStore(PageStore):
                     f"larger slot_size"
                 )
             kind = self._kinds[pid]
-            self._wal_append("page", pid, kind.value, payload)
+            records.append(("page", pid, kind.value, payload))
             entry = pool.pages[pid]
             entry.kind = kind
             entry.crc = zlib.crc32(payload)
             entry.length = len(payload)
             entry.on_disk = False
             entry.durable = True
-        for pid in sorted(pool.freed):
-            self._wal_append("free", pid)
+        records.extend(("free", pid) for pid in sorted(pool.freed))
         if meta is not None:
-            self._wal_append("meta", _dumps(meta))
+            records.append(("meta", _dumps(meta)))
             self.meta_blob = meta
+        for record in records:
+            if timed is not None:
+                start = time.perf_counter()
+            self._wal.append(*record)
+            if timed is not None:
+                self.publish_timed("wal_append", time.perf_counter() - start)
         self._wal.commit(self._next_id, self._pinned, fsync=self.fsync_on_commit)
         for pid in pool.dirty:
             pool.frames[pid].dirty = False
@@ -829,37 +833,21 @@ class DiskPageStore(PageStore):
             and self._wal.size >= self.wal_checkpoint_bytes
         ):
             self.checkpoint()
+        if timed is not None:
+            timed.publish("commit", pages)
         return True
 
     def checkpoint(self) -> None:
         """Flush everything to the page file, rewrite the sidecar, reset
         the WAL.  After a checkpoint the WAL is empty and every live
         page's slot holds its committed image."""
-        telem = self._telemetry
-        if telem is None:
-            self._checkpoint_inner()
-            return
-        wal_before = self._wal.stats()
-        io_before = telem.io_counts()
-        # Every resident page whose slot image is stale (dirty or
-        # WAL-only) is what this checkpoint will push to the page file.
-        stale = [
-            pid
-            for pid in self.pool.frames
-            if not self.pool.pages[pid].on_disk
-        ]
-        start = time.perf_counter()
-        self._checkpoint_inner()
-        seconds = time.perf_counter() - start
-        telem.observe("storage.checkpoint_seconds", seconds)
-        telem.maybe_slow_op(
-            "checkpoint",
-            seconds,
-            pages=stale,
-            io=self._io_breakdown(wal_before, io_before),
-        )
-
-    def _checkpoint_inner(self) -> None:
+        timed = None
+        if self._on_timed:
+            timed = _TimedOp(self)
+            # Every resident page whose slot image is stale (dirty or
+            # WAL-only) is what this checkpoint pushes to the page file.
+            pool = self.pool
+            stale = [pid for pid in pool.frames if not pool.pages[pid].on_disk]
         self._in_checkpoint = True
         try:
             self.commit()
@@ -870,6 +858,8 @@ class DiskPageStore(PageStore):
             self.checkpoints += 1
         finally:
             self._in_checkpoint = False
+        if timed is not None:
+            timed.publish("checkpoint", stale)
 
     def close(self) -> None:
         """Checkpoint and release the file handles."""
@@ -1036,9 +1026,11 @@ class DiskPageStore(PageStore):
         :func:`repro.obs.telemetry.validate_io_stats`.
         ``write_amplification`` — total physical bytes written (WAL plus
         page-file) over the live committed payload bytes — is always
-        present and deterministic for a deterministic workload; the
-        ``latency`` summaries and ``slow_ops`` count are additive and
-        appear only when telemetry is attached.
+        present and deterministic for a deterministic workload.
+        Subscribers add their own fields
+        (:meth:`~repro.storage.pagestore.StoreSubscriber.io_stats_fields`;
+        telemetry adds the ``latency`` summaries and the ``slow_ops``
+        count).
         """
         pool = self.pool
         live_bytes = sum(
@@ -1057,14 +1049,8 @@ class DiskPageStore(PageStore):
             if live_bytes
             else 0.0,
         }
-        telem = self._telemetry
-        if telem is not None:
-            out["latency"] = {
-                name: summary
-                for name, summary in telem.latency_summaries().items()
-                if name.startswith("storage.")
-            }
-            out["slow_ops"] = len(telem.slow_ops)
+        for subscriber in self.subscribers:
+            out.update(subscriber.io_stats_fields(self))
         return out
 
 

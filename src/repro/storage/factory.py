@@ -14,11 +14,11 @@ whole system — drivers, fuzzers, tests — onto the durable backend:
   references fail loudly (the aliasing check the tier-1 suite runs
   under in CI).
 * ``REPRO_STORE_FSYNC`` — ``0`` skips the commit fsync (benches only).
-* ``REPRO_TELEMETRY`` — ``1`` attaches the process-wide
-  :class:`repro.obs.telemetry.Telemetry` to every disk store built
-  here, so IO latencies, commit/checkpoint timings and pool gauges are
-  recorded without touching any call site.  Telemetry never changes
-  charged statistics or results.
+* ``REPRO_TELEMETRY`` — ``1`` subscribes the process-wide
+  :class:`repro.obs.telemetry.Telemetry` to every store built here, so
+  query latencies and, on disk stores, IO latencies, commit/checkpoint
+  timings and pool gauges are recorded without touching any call site.
+  Telemetry never changes charged statistics or results.
 
 The simulated backend stays the default everywhere, so existing CI
 identity gates are untouched.
@@ -80,37 +80,38 @@ def make_store(
 ) -> PageStore:
     """A fresh page store on the configured backend.
 
-    ``disk_kwargs`` (``io``, ``fsync``, ``paranoid``, ``poison``,
-    ``slot_size``, ...) pass through to
-    :class:`~repro.storage.disk.DiskPageStore`; the simulated backend
-    rejects them so a misconfiguration cannot silently degrade to
-    in-memory.
+    ``disk_kwargs`` (``io``, ``fsync``, ``poison``, ``slot_size``, ...)
+    pass through to :class:`~repro.storage.disk.DiskPageStore`; the
+    simulated backend rejects them so a misconfiguration cannot silently
+    degrade to in-memory.  The active telemetry, if any, is subscribed
+    to the new store.
     """
+    from repro.obs.telemetry import active_telemetry
+
     name = backend_name(backend)
     if name == "sim":
         if pool_pages is not None or directory is not None or disk_kwargs:
             raise ValueError(
                 "pool_pages/directory/disk options require backend='disk'"
             )
-        return PageStore(page_size)
-    from repro.storage.disk import DiskPageStore
+        store = PageStore(page_size)
+    else:
+        from repro.storage.disk import DiskPageStore
 
-    base = _store_base_dir(directory)
-    path = base / f"store-{os.getpid()}-{next(_counter)}"
-    if pool_pages is None:
-        pool_pages = int(os.environ.get(POOL_ENV, "256") or "256")
-    disk_kwargs.setdefault(
-        "poison", os.environ.get(POISON_ENV, "").strip() == "1"
-    )
-    disk_kwargs.setdefault(
-        "fsync", os.environ.get(FSYNC_ENV, "").strip() != "0"
-    )
-    if "telemetry" not in disk_kwargs:
-        from repro.obs.telemetry import active_telemetry
-
-        telemetry = active_telemetry()
-        if telemetry is not None:
-            disk_kwargs["telemetry"] = telemetry
-    return DiskPageStore(
-        path, page_size, pool_pages=pool_pages, **disk_kwargs
-    )
+        base = _store_base_dir(directory)
+        path = base / f"store-{os.getpid()}-{next(_counter)}"
+        if pool_pages is None:
+            pool_pages = int(os.environ.get(POOL_ENV, "256") or "256")
+        disk_kwargs.setdefault(
+            "poison", os.environ.get(POISON_ENV, "").strip() == "1"
+        )
+        disk_kwargs.setdefault(
+            "fsync", os.environ.get(FSYNC_ENV, "").strip() != "0"
+        )
+        store = DiskPageStore(
+            path, page_size, pool_pages=pool_pages, **disk_kwargs
+        )
+    telemetry = active_telemetry()
+    if telemetry is not None:
+        store.subscribe(telemetry)
+    return store

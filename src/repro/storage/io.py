@@ -21,10 +21,11 @@ so a given ``(seed, fail_after, mode)`` triple always produces the same
 torn length / flipped bit — reproducers stay reproducible.
 
 Two further decorators compose around any provider:
-:class:`InstrumentedIO` times every ``pread``/``pwrite``/``fsync`` into
-a telemetry sink (:mod:`repro.obs.telemetry`), and :class:`DelayingIO`
-injects deterministic latency — the slow-disk model the slow-operation
-log is tested against.
+:class:`InstrumentedIO` times every ``pread``/``pwrite``/``fsync``/
+``replace`` and hands each timing to a callback (the durable store
+publishes them as physical-IO events to its subscribers), and
+:class:`DelayingIO` injects deterministic latency — the slow-disk model
+the slow-operation log is tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import os
 import time
 from pathlib import Path
 from random import Random
+from typing import Callable
 
 __all__ = [
     "DelayingIO",
@@ -149,50 +151,52 @@ class _ForwardingHandle:
 
 
 class _TimingHandle(_ForwardingHandle):
-    """Times every ``pread``/``pwrite``/``fsync`` into the telemetry sink."""
+    """Times every ``pread``/``pwrite``/``fsync`` into ``publish``."""
 
-    def __init__(self, inner: FileHandle, sink):
+    def __init__(self, inner: FileHandle, publish: Callable[[str, float, int], None]):
         super().__init__(inner)
-        self._sink = sink
+        self._publish = publish
 
     def pread(self, n: int, offset: int) -> bytes:
         start = time.perf_counter()
         data = self._inner.pread(n, offset)
-        self._sink.observe_io("pread", time.perf_counter() - start, len(data))
+        self._publish("pread", time.perf_counter() - start, len(data))
         return data
 
     def pwrite(self, data: bytes, offset: int) -> int:
         start = time.perf_counter()
         out = self._inner.pwrite(data, offset)
-        self._sink.observe_io("pwrite", time.perf_counter() - start, len(data))
+        self._publish("pwrite", time.perf_counter() - start, len(data))
         return out
 
     def fsync(self) -> None:
         start = time.perf_counter()
         self._inner.fsync()
-        self._sink.observe_io("fsync", time.perf_counter() - start, 0)
+        self._publish("fsync", time.perf_counter() - start, 0)
 
 
 class InstrumentedIO(IOProvider):
     """Per-call latency instrumentation around a base :class:`IOProvider`.
 
-    ``sink`` is duck-typed: anything with
-    ``observe_io(op, seconds, nbytes)`` works, in practice a
-    :class:`repro.obs.telemetry.Telemetry` (this module stays free of
-    :mod:`repro.obs` imports so the storage layer never depends on the
-    observability stack).  The wrapper composes: production wraps
-    :class:`OsFileIO`, the fault-injection tests wrap a
-    :class:`FaultInjectingIO`, and the instrumentation sees the same
-    calls either way.  When telemetry is disabled no wrapper is
-    installed at all, so the uninstrumented path pays nothing.
+    Every timed call is handed to ``publish(op, seconds, nbytes)``.  The
+    durable store installs this wrapper only while some subscriber
+    listens for physical-IO events (and wraps its already open handles
+    with :meth:`wrap`), so the uninstrumented path has no wrapper at
+    all.  The wrapper composes: production wraps :class:`OsFileIO`, the
+    fault-injection tests wrap a :class:`FaultInjectingIO`, and the
+    instrumentation sees the same calls either way.
     """
 
-    def __init__(self, base: IOProvider, sink):
+    def __init__(self, base: IOProvider, publish: Callable[[str, float, int], None]):
         self.base = base
-        self.sink = sink
+        self.publish = publish
+
+    def wrap(self, handle: FileHandle) -> FileHandle:
+        """``handle`` with its pread/pwrite/fsync timed."""
+        return _TimingHandle(handle, self.publish)  # type: ignore[return-value]
 
     def open(self, path: str | Path) -> FileHandle:
-        return _TimingHandle(self.base.open(path), self.sink)  # type: ignore[return-value]
+        return self.wrap(self.base.open(path))
 
     def exists(self, path: str | Path) -> bool:
         return self.base.exists(path)
@@ -200,7 +204,7 @@ class InstrumentedIO(IOProvider):
     def replace(self, src: str | Path, dst: str | Path) -> None:
         start = time.perf_counter()
         self.base.replace(src, dst)
-        self.sink.observe_io("replace", time.perf_counter() - start, 0)
+        self.publish("replace", time.perf_counter() - start, 0)
 
     def remove(self, path: str | Path) -> None:
         self.base.remove(path)

@@ -20,15 +20,14 @@ Access methods bracket every externally visible operation (insert,
 delete, query) with :meth:`PageStore.begin_operation`; everything read
 or written in between forms the new buffered path.
 
-**Observer hook** — the store accepts an optional :attr:`PageStore.observer`
-(see :class:`repro.obs.tracer.StoreObserver`): ``on_operation_begin(store)``
-fires at every operation bracket *before* the path buffer rotates, and
-``on_access(store, pid, kind, rw, charged, reason)`` fires on every page
-touch, whether it was charged or free (``reason`` is one of ``charged``,
-``pinned``, ``buffered``, ``path``, ``dedup``).  Observation is purely
-passive — it can never change which accesses are charged — and the
-default of ``None`` costs only one ``is not None`` test per touch, so
-uninstrumented runs are unaffected.
+**Event stream** — the store publishes page touches, operation
+brackets, timed operations and (durable store) physical IO calls, in
+order, to its subscribers (:meth:`PageStore.subscribe`): instances of
+:class:`StoreSubscriber` that override only the events they need.  The
+tracer, the explain recorder and the telemetry layer are all plain
+subscribers.  Observation is purely passive — it never changes which
+accesses are charged — and an event reaches only the subscribers that
+override it, so an unobserved touch costs one truthiness test.
 """
 
 from __future__ import annotations
@@ -39,7 +38,33 @@ from repro.core.stats import AccessStats
 from repro.query.columnar import ColumnarCache
 from repro.storage.page import PageKind
 
-__all__ = ["PageStore"]
+__all__ = ["PageStore", "StoreSubscriber"]
+
+
+class StoreSubscriber:
+    """No-op base of a :class:`PageStore` subscriber; override what you need."""
+
+    def on_operation_begin(self, store: "PageStore") -> None:
+        """A new insert/delete/query bracket, before the path buffer rotates."""
+
+    def on_access(self, store, pid, kind: PageKind, rw, charged, reason) -> None:
+        """One page touch, charged or free (``reason``: ``charged``,
+        ``pinned``, ``buffered``, ``path`` or ``dedup``)."""
+
+    def on_timed(self, store, op, seconds, pages=None, io=None, detail=None) -> None:
+        """A finished ``commit``/``checkpoint`` (with the ``pages`` it
+        wrote and the ``io`` beneath it), ``eviction``, ``wal_append`` or
+        ``query`` (with its kind, index and cost as ``detail``)."""
+
+    def on_io(self, store, op: str, seconds: float, nbytes: int) -> None:
+        """One ``pread``/``pwrite``/``fsync``/``replace`` of a durable store."""
+
+    def io_stats_fields(self, store) -> dict:
+        """Fields this subscriber adds to a durable store's ``io_stats()``."""
+        return {}
+
+
+_EVENTS = ("on_operation_begin", "on_access", "on_timed", "on_io")
 
 
 class PageStore:
@@ -65,9 +90,11 @@ class PageStore:
         #: pages").
         self.path_buffer_limit = path_buffer_limit
         self.stats = AccessStats()
-        #: Optional passive observer (``repro.obs.tracer.StoreObserver``);
-        #: ``None`` keeps the store on its uninstrumented fast path.
-        self.observer: Any = None
+        #: Every event reaches the subscribers in this order.
+        self.subscribers: tuple[StoreSubscriber, ...] = ()
+        # Per event, the bound hooks of the subscribers overriding it.
+        self._on_operation_begin = self._on_access = ()
+        self._on_timed = self._on_io = ()
         self._objects: dict[int, Any] = {}
         self._kinds: dict[int, PageKind] = {}
         self._pinned: set[int] = set()
@@ -78,6 +105,46 @@ class PageStore:
         #: Batched query workload and promotion hints of the traversal
         #: (:mod:`repro.query.columnar`).
         self.columnar = ColumnarCache()
+
+    # -- the event stream -----------------------------------------------
+
+    def subscribe(self, subscriber: StoreSubscriber) -> None:
+        """Append ``subscriber`` to the event stream."""
+        if subscriber in self.subscribers:
+            raise ValueError("already subscribed to this store")
+        self.subscribers += (subscriber,)
+        self._rewire()
+
+    def unsubscribe(self, subscriber: StoreSubscriber) -> None:
+        """Remove ``subscriber``; the others keep their order."""
+        if subscriber not in self.subscribers:
+            raise ValueError("not subscribed to this store")
+        self.subscribers = tuple(s for s in self.subscribers if s is not subscriber)
+        self._rewire()
+
+    def _rewire(self) -> None:
+        for name in _EVENTS:
+            noop = getattr(StoreSubscriber, name)
+            hooks = tuple(
+                getattr(s, name)
+                for s in self.subscribers
+                if getattr(type(s), name, noop) is not noop
+            )
+            setattr(self, "_" + name, hooks)
+
+    def publish_timed(
+        self,
+        op: str,
+        seconds: float,
+        *,
+        pages: list[int] | None = None,
+        io: dict | None = None,
+        detail: dict | None = None,
+    ) -> None:
+        """Deliver one timed-operation event.  Callers time the operation
+        only when ``self._on_timed`` is non-empty."""
+        for hook in self._on_timed:
+            hook(self, op, seconds, pages, io, detail)
 
     # -- page lifecycle -------------------------------------------------
 
@@ -165,8 +232,8 @@ class PageStore:
         ``path_buffer_limit`` *distinct* pages by first touch, which for
         a tree descent is exactly the final root-to-leaf search path.
         """
-        if self.observer is not None:
-            self.observer.on_operation_begin(self)
+        for hook in self._on_operation_begin:
+            hook(self)
         tail = list(self._buffer_cur)[-self.path_buffer_limit :]
         self._buffer_prev = set(tail)
         self._buffer_cur = {}
@@ -175,36 +242,28 @@ class PageStore:
     def read(self, pid: int) -> Any:
         """Fetch a page's object, charging a read unless it is buffered."""
         obj = self._objects[pid]
-        observer = self.observer
+        hooks = self._on_access
         if pid in self._pinned:
-            if observer is not None:
-                observer.on_access(
-                    self, pid, self._kinds[pid], "read", False, "pinned"
-                )
+            if hooks:
+                self._publish_access(pid, "read", False, "pinned")
             return obj
         buffer_cur = self._buffer_cur
         if pid in buffer_cur:
-            if observer is not None:
-                observer.on_access(
-                    self, pid, self._kinds[pid], "read", False, "buffered"
-                )
+            if hooks:
+                self._publish_access(pid, "read", False, "buffered")
             return obj
         buffer_cur[pid] = None
         if pid in self._buffer_prev:
-            if observer is not None:
-                observer.on_access(
-                    self, pid, self._kinds[pid], "read", False, "path"
-                )
+            if hooks:
+                self._publish_access(pid, "read", False, "path")
             return obj
         stats = self.stats
         if self._kinds[pid] is PageKind.DATA:
             stats.data_reads += 1
         else:
             stats.dir_reads += 1
-        if observer is not None:
-            observer.on_access(
-                self, pid, self._kinds[pid], "read", True, "charged"
-            )
+        if hooks:
+            self._publish_access(pid, "read", True, "charged")
         return obj
 
     def write(self, pid: int) -> None:
@@ -217,22 +276,22 @@ class PageStore:
         # writes still mean the page object changed, so its batch verdicts
         # must never survive a write.
         self.columnar.invalidate(pid)
+        hooks = self._on_access
         if pid in self._pinned:
-            if self.observer is not None:
-                self.observer.on_access(
-                    self, pid, self._kinds[pid], "write", False, "pinned"
-                )
+            if hooks:
+                self._publish_access(pid, "write", False, "pinned")
             return
         if pid in self._written_this_op:
-            if self.observer is not None:
-                self.observer.on_access(
-                    self, pid, self._kinds[pid], "write", False, "dedup"
-                )
+            if hooks:
+                self._publish_access(pid, "write", False, "dedup")
             return
         self._written_this_op.add(pid)
         self.stats.record_write(self._kinds[pid] is PageKind.DATA)
         self._buffer_cur[pid] = None
-        if self.observer is not None:
-            self.observer.on_access(
-                self, pid, self._kinds[pid], "write", True, "charged"
-            )
+        if hooks:
+            self._publish_access(pid, "write", True, "charged")
+
+    def _publish_access(self, pid: int, rw: str, charged: bool, reason: str) -> None:
+        kind = self._kinds[pid]
+        for hook in self._on_access:
+            hook(self, pid, kind, rw, charged, reason)

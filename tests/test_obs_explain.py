@@ -195,7 +195,7 @@ class TestTraceContents:
             with pytest.raises(RuntimeError, match="already attached"):
                 recorder.start_file(pam, "range")
         finally:
-            pam.store.observer = recorder._collector.inner
+            pam.store.unsubscribe(recorder)
 
 
 class TestDataPageEntries:

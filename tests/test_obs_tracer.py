@@ -8,7 +8,7 @@ from repro.obs.tracer import Tracer
 from repro.pam.twolevelgrid import TwoLevelGridFile
 from repro.sam.rtree import RTree
 from repro.storage.page import PageKind
-from repro.storage.pagestore import PageStore
+from repro.storage.pagestore import PageStore, StoreSubscriber
 
 from tests.conftest import STANDARD_QUERIES, make_points, make_rects
 
@@ -158,16 +158,13 @@ class TestObserverHookOrdering:
         """The observer sees the operation boundary before the tail rotates."""
         seen = []
 
-        class Probe:
+        class Probe(StoreSubscriber):
             def on_operation_begin(self, store):
                 # _buffer_cur still holds the previous operation's pages.
                 seen.append(sorted(store._buffer_cur))
 
-            def on_access(self, store, pid, kind, rw, charged, reason):
-                pass
-
         store = PageStore()
-        store.observer = Probe()
+        store.subscribe(Probe())
         pid = store.allocate(PageKind.DATA, "x")
         store.begin_operation()
         store.read(pid)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.page import PageKind
-from repro.storage.pagestore import PageStore
+from repro.storage.pagestore import PageStore, StoreSubscriber
 
 
 class TestLifecycle:
@@ -208,8 +208,8 @@ class TestPathBufferTailDeterminism:
         assert store._buffer_prev == {b}
 
 
-class RecordingObserver:
-    """Minimal StoreObserver that logs every callback."""
+class RecordingObserver(StoreSubscriber):
+    """Minimal subscriber that logs every page-stream callback."""
 
     def __init__(self):
         self.operations = 0
@@ -224,18 +224,19 @@ class RecordingObserver:
 
 class TestObserverHook:
     def test_default_is_uninstrumented(self, store):
-        assert store.observer is None
+        assert store.subscribers == ()
+        assert store._on_access == () and store._on_operation_begin == ()
 
     def test_operation_begin_notified(self, store):
         observer = RecordingObserver()
-        store.observer = observer
+        store.subscribe(observer)
         store.begin_operation()
         store.begin_operation()
         assert observer.operations == 2
 
     def test_every_touch_reported_with_charge_flag(self, store):
         observer = RecordingObserver()
-        store.observer = observer
+        store.subscribe(observer)
         pinned = store.allocate(PageKind.DIRECTORY, "root")
         store.pin(pinned)
         pid = store.allocate(PageKind.DATA, "x")
@@ -258,7 +259,7 @@ class TestObserverHook:
 
     def test_path_buffer_hit_reported_as_path(self, store):
         observer = RecordingObserver()
-        store.observer = observer
+        store.subscribe(observer)
         pid = store.allocate(PageKind.DATA, "x")
         store.begin_operation()
         store.read(pid)
@@ -268,7 +269,7 @@ class TestObserverHook:
 
     def test_observer_does_not_change_charging(self):
         plain, observed = PageStore(), PageStore()
-        observed.observer = RecordingObserver()
+        observed.subscribe(RecordingObserver())
         for store in (plain, observed):
             pids = [store.allocate(PageKind.DATA, i) for i in range(5)]
             store.begin_operation()

@@ -1,11 +1,12 @@
 """Hypothesis property tests: vectorized kernels equal the scalar oracle.
 
-Every kernel in :mod:`repro.geometry.kernels` — pairwise, batch, and the
-fused single-comparison forms the traversal actually uses — must agree
-with the corresponding :class:`~repro.geometry.rect.Rect` predicate on
-every (record, query) pair, including degenerate boxes and boxes that
-touch exactly on a boundary (the closed-interval edge cases where a
-``<`` / ``<=`` slip would first show up).
+Every kernel in :mod:`repro.geometry.kernels`, plus the point, batch and
+fused single-comparison forms defined below (the fused encoding is the
+one the traversal's struct-of-arrays views use), must agree with the
+corresponding :class:`~repro.geometry.rect.Rect` predicate on every
+(record, query) pair, including degenerate boxes and boxes that touch
+exactly on a boundary (the closed-interval edge cases where a ``<`` /
+``<=`` slip would first show up).
 """
 
 import numpy as np
@@ -15,6 +16,74 @@ from repro.geometry import kernels
 from repro.geometry.rect import Rect
 from repro.query.columnar import _QVEC_BUILDERS
 from repro.query.traverse import qvec_for
+
+# -- the oracle kernels: point, batch and fused forms -------------------------
+#
+# Shapes: ``pts`` is an ``(n, d)`` page of points, ``lo``/``hi`` an
+# ``(n, d)`` page of boxes, ``qlo``/``qhi`` one ``(d,)`` query box or a
+# ``(Q, d)`` batch; single-query forms return ``(n,)``, batch forms
+# ``(Q, n)``.  The fused encoding is documented in repro.geometry.kernels.
+
+
+def points_in_box(pts: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
+    """Mask of points inside the closed box ``[qlo, qhi]`` (range query)."""
+    return ((pts >= qlo) & (pts <= qhi)).all(axis=1)
+
+
+def points_in_boxes(pts: np.ndarray, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
+    """Batch variant: ``(Q, n)`` mask of points inside each query box."""
+    p = pts[None, :, :]
+    return ((p >= qlo[:, None, :]) & (p <= qhi[:, None, :])).all(axis=2)
+
+
+def boxes_intersect_many(
+    lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+) -> np.ndarray:
+    """Batch variant of :func:`boxes_intersect` — ``(Q, n)``."""
+    l, h = lo[None, :, :], hi[None, :, :]
+    return ((l <= qhi[:, None, :]) & (qlo[:, None, :] <= h)).all(axis=2)
+
+
+def boxes_within_many(
+    lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+) -> np.ndarray:
+    """Batch variant of :func:`boxes_within` — ``(Q, n)``."""
+    l, h = lo[None, :, :], hi[None, :, :]
+    return ((qlo[:, None, :] <= l) & (h <= qhi[:, None, :])).all(axis=2)
+
+
+def boxes_enclose_many(
+    lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray
+) -> np.ndarray:
+    """Batch variant of :func:`boxes_enclose` — ``(Q, n)``."""
+    l, h = lo[None, :, :], hi[None, :, :]
+    return ((l <= qlo[:, None, :]) & (qhi[:, None, :] <= h)).all(axis=2)
+
+
+def fuse_points(pts: np.ndarray) -> np.ndarray:
+    """``(n, 2d)`` fused page array ``[-p, p]`` for point-in-box tests."""
+    return np.concatenate([-pts, pts], axis=1)
+
+
+def fuse_boxes_cover(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``(n, 2d)`` fused array ``[lo, -hi]`` (intersection / enclosure)."""
+    return np.concatenate([lo, -hi], axis=1)
+
+
+def fuse_boxes_within(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``(n, 2d)`` fused array ``[-lo, hi]`` (containment)."""
+    return np.concatenate([-lo, hi], axis=1)
+
+
+def fused_match(fused: np.ndarray, qvec: np.ndarray) -> np.ndarray:
+    """``(n,)`` mask of fused page rows entirely ``<=`` the query vector."""
+    return (fused <= qvec).all(axis=1)
+
+
+def fused_match_many(fused: np.ndarray, qvecs: np.ndarray) -> np.ndarray:
+    """Batch variant of :func:`fused_match` — ``(Q, n)``."""
+    return (fused[None, :, :] <= qvecs[:, None, :]).all(axis=2)
+
 
 # A small shared pool of exact values makes coincident boundaries (touching
 # and degenerate boxes) common instead of measure-zero.
@@ -66,9 +135,9 @@ ORACLES = {
 }
 
 PAIRWISE = {
-    "isect": (kernels.boxes_intersect, kernels.boxes_intersect_many),
-    "within": (kernels.boxes_within, kernels.boxes_within_many),
-    "encl": (kernels.boxes_enclose, kernels.boxes_enclose_many),
+    "isect": (kernels.boxes_intersect, boxes_intersect_many),
+    "within": (kernels.boxes_within, boxes_within_many),
+    "encl": (kernels.boxes_enclose, boxes_enclose_many),
 }
 
 
@@ -80,7 +149,7 @@ class TestPairwiseKernels:
         arr = np.array(pts)
         for q in queries:
             expected = [q.contains_point(p) for p in pts]
-            got = kernels.points_in_box(arr, np.array(q.lo), np.array(q.hi))
+            got = points_in_box(arr, np.array(q.lo), np.array(q.hi))
             assert got.tolist() == expected
 
     @KERNEL_SETTINGS
@@ -115,9 +184,9 @@ class TestBatchKernels:
         arr = np.array(pts)
         qlo = np.array([q.lo for q in queries])
         qhi = np.array([q.hi for q in queries])
-        batch = kernels.points_in_boxes(arr, qlo, qhi)
+        batch = points_in_boxes(arr, qlo, qhi)
         for i, q in enumerate(queries):
-            single = kernels.points_in_box(arr, np.array(q.lo), np.array(q.hi))
+            single = points_in_box(arr, np.array(q.lo), np.array(q.hi))
             assert batch[i].tolist() == single.tolist()
         lo, hi = _bounds(rects)
         for op, (single_k, many_k) in PAIRWISE.items():
@@ -145,11 +214,11 @@ class TestFusedKernels:
     def test_fused_points_match_pairwise(self, data):
         pts, _, queries = data
         arr = np.array(pts)
-        fused = kernels.fuse_points(arr)
+        fused = fuse_points(arr)
         for q in queries:
-            expected = kernels.points_in_box(arr, np.array(q.lo), np.array(q.hi))
+            expected = points_in_box(arr, np.array(q.lo), np.array(q.hi))
             qvec = np.array(tuple(-c for c in q.lo) + q.hi)
-            assert kernels.fused_match(fused, qvec).tolist() == expected.tolist()
+            assert fused_match(fused, qvec).tolist() == expected.tolist()
 
     @KERNEL_SETTINGS
     @given(data=page_and_queries(dims=2))
@@ -157,15 +226,15 @@ class TestFusedKernels:
         _, rects, queries = data
         lo, hi = _bounds(rects)
         fused_by_family = {
-            "cover": kernels.fuse_boxes_cover(lo, hi),
-            "anti": kernels.fuse_boxes_within(lo, hi),
+            "cover": fuse_boxes_cover(lo, hi),
+            "anti": fuse_boxes_within(lo, hi),
         }
         family = {"isect": "cover", "encl": "cover", "within": "anti"}
         for op, (single_k, _) in PAIRWISE.items():
             fused = fused_by_family[family[op]]
             for q in queries:
                 expected = single_k(lo, hi, np.array(q.lo), np.array(q.hi))
-                got = kernels.fused_match(fused, qvec_for(op, q))
+                got = fused_match(fused, qvec_for(op, q))
                 assert got.tolist() == expected.tolist(), op
 
     @KERNEL_SETTINGS
@@ -173,14 +242,14 @@ class TestFusedKernels:
     def test_fused_batch_matches_fused_single(self, data):
         _, rects, queries = data
         lo, hi = _bounds(rects)
-        fused = kernels.fuse_boxes_cover(lo, hi)
+        fused = fuse_boxes_cover(lo, hi)
         qlo = np.array([q.lo for q in queries])
         qhi = np.array([q.hi for q in queries])
         for op in ("isect", "encl"):
             qvecs = _QVEC_BUILDERS[op](qlo, qhi)
-            batch = kernels.fused_match_many(fused, qvecs)
+            batch = fused_match_many(fused, qvecs)
             for i, q in enumerate(queries):
-                row = kernels.fused_match(fused, qvec_for(op, q))
+                row = fused_match(fused, qvec_for(op, q))
                 assert batch[i].tolist() == row.tolist(), op
 
     def test_fused_qvec_builders_agree_with_single(self):

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.geometry.rect import Rect
 from repro.query import columnar
 from repro.query.driver import run_query_file
-from repro.storage.pagestore import PageStore
+from repro.storage.pagestore import PageStore, StoreSubscriber
 from repro.verify.fuzz import STRUCTURES, _point_pool, _rect_pool
 from repro.verify.reference import as_reference
 
@@ -43,8 +43,8 @@ def query_rects(draw):
     return out
 
 
-class _PidTrace:
-    """Observer recording the full ordered access stream of a store."""
+class _PidTrace(StoreSubscriber):
+    """Subscriber recording the full ordered access stream of a store."""
 
     def __init__(self):
         self.events = []
@@ -69,7 +69,7 @@ def _traced_pass(name, spec, data, queries, reference, page_size=512):
     for rid, item in enumerate(data):
         method.insert(item, rid)
     trace = _PidTrace()
-    store.observer = trace
+    store.subscribe(trace)
     outcomes = []
     if spec["kind"] == "pam":
         outcomes.append(

@@ -65,8 +65,9 @@ def _disk_workload(tmp_path, telemetry=None, *, fsync=False):
         page_size=512,
         pool_pages=8,
         fsync=fsync,
-        telemetry=telemetry,
     )
+    if telemetry is not None:
+        store.subscribe(telemetry)
     pids = []
     for i in range(32):
         store.begin_operation()  # one op per page: auto-commit keeps the
@@ -201,8 +202,8 @@ class TestSlowOps:
             pool_pages=8,
             fsync=True,
             io=io,
-            telemetry=telem,
         )
+        store.subscribe(telem)
         pid = store.allocate(PageKind.DATA, {"x": 1})
         store.commit()
         commits = [r for r in telem.slow_ops if r["op"] == "commit"]
@@ -216,6 +217,38 @@ class TestSlowOps:
         assert record["io"]["wal_bytes"] > 0
         assert io.slept["fsync"] >= 1
         store.close()
+
+    @pytest.mark.parametrize("n_stores", (1, 2))
+    def test_commit_io_deltas_equal_histogram_counts(self, tmp_path, n_stores):
+        """Every IO call of a commit-only workload lands in exactly one
+        commit's slow-op ``io`` breakdown, also when two stores share
+        one telemetry and interleave their commits."""
+        telem = Telemetry(slow_op_ms=0.0)
+        stores = [
+            DiskPageStore(tmp_path / f"s{i}", pool_pages=64, fsync=True)
+            for i in range(n_stores)
+        ]
+        for store in stores:
+            store.subscribe(telem)
+        for i in range(12):
+            for store in stores:
+                store.begin_operation()  # commits the previous operation
+                store.allocate(PageKind.DATA, {"i": i})
+        for store in stores:
+            store.commit()
+        commits = [r for r in telem.slow_ops if r["op"] == "commit"]
+        assert len(commits) == 12 * n_stores
+        hists = telem.registry.histograms()
+        counts = telem.io_counts()
+        assert set(counts) == {"pwrite", "fsync"}
+        for op, (count, seconds) in counts.items():
+            assert hists[f"storage.io.{op}_seconds"].count == count
+            assert sum(r["io"].get(f"{op}s", 0) for r in commits) == count
+            assert sum(
+                r["io"].get(f"{op}_seconds", 0.0) for r in commits
+            ) == pytest.approx(seconds)
+        for store in stores:
+            store.close()
 
     def test_fast_commit_records_nothing(self, tmp_path):
         telem = Telemetry(slow_op_ms=60000)
@@ -251,15 +284,15 @@ class TestBitIdentity:
         )
 
         telem = Telemetry(slow_op_ms=0.0)  # record *everything* as slow
-        set_telemetry(telem)  # the query driver also observes
+        set_telemetry(telem)  # make_store subscribes it: queries are timed
         on_sim = _run_backend(make_store(page_size, backend="sim"), spec, ops)
         disk = DiskPageStore(
             tmp_path / "on",
             page_size=page_size,
             pool_pages=8,
             fsync=False,
-            telemetry=telem,
         )
+        disk.subscribe(telem)
         on_disk = _run_backend(disk, spec, ops)
 
         for key in baseline_sim:
@@ -589,7 +622,7 @@ class TestDriverAndParallelTelemetry:
         for i in range(50):
             am.insert((i / 50.0, (i * 7 % 50) / 50.0), i)
         telem = Telemetry(slow_op_ms=0.0)
-        set_telemetry(telem)
+        am.store.subscribe(telem)
         queries = [Rect((0.0, 0.0), (0.5, 0.5)), Rect((0.2, 0.2), (0.9, 0.9))]
         run_query_file(am, "range", queries, am.range_query)
         assert telem.registry.histograms()["query.latency_seconds"].count == 2

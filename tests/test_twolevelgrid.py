@@ -107,3 +107,39 @@ class TestPathological:
             grid.insert(p, i)
         hits = grid.partial_match({0: 0.25})
         assert len(hits) == 300
+
+
+class TestPageImages:
+    """The layer's bounds snapshot is a query cache, not page content."""
+
+    def test_range_query_leaves_page_images_unchanged(self):
+        import pickle
+
+        grid = build(make_points(900, seed=4))
+        store = grid.store
+        subgrids = [
+            pid for pid in store.page_ids() if isinstance(store.peek(pid), _SubGrid)
+        ]
+        assert subgrids
+        before = {pid: pickle.dumps(store.peek(pid), protocol=4) for pid in subgrids}
+        for query in STANDARD_QUERIES:
+            grid.range_query(query)
+        for pid in subgrids:
+            image = pickle.dumps(store.peek(pid), protocol=4)
+            assert image == before[pid]
+            assert pickle.dumps(pickle.loads(image), protocol=4) == image
+
+    def test_range_query_then_commit_logs_no_page(self, tmp_path):
+        from repro.storage.disk import DiskPageStore
+
+        store = DiskPageStore(tmp_path / "grid", pool_pages=4096, fsync=False)
+        grid = build(make_points(900, seed=4), store)
+        store.commit()
+        records = store._wal.stats()["records"]
+        for query in STANDARD_QUERIES:
+            grid.range_query(query)
+        # A forced commit re-serialises every page the queries touched.
+        assert store.commit(meta={"after": "queries"})
+        assert store.pool.silent_dirty == 0
+        assert store._wal.stats()["records"] - records == 2  # meta + commit
+        store.close()
